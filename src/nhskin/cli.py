@@ -87,7 +87,7 @@ def cmd_spectrum(args) -> int:
     w = spec.eigenvalues
     top = w[np.argsort(-w.imag)[:2]]
     beat = abs(top[0].real - top[1].real) / (2 * np.pi)
-    print(f"spectrum: {spec.dim} modes, max|Im E| = {w.imag.max():.6g} rad/s, "
+    print(f"spectrum: {spec.dim} modes, max Im E = {w.imag.max():.6g} rad/s, "
           f"leading-pair beat = {beat:.4g} Hz")
     return 0
 
@@ -133,9 +133,10 @@ def cmd_evolve(args) -> int:
     cfg = _merge_config(args)
     model, field = _evolve_from_config(cfg)
     out = _outdir(args)
+    trace = energy_trace(field)
     if args.format in ("csv", "both"):
         nio.write_wavefield_csv(out / "wavefield.csv", field)
-        nio.write_energy_csv(out / "energy.csv", energy_trace(field))
+        nio.write_energy_csv(out / "energy.csv", trace)
     nio.write_wavefield_npz(out / "wavefield.npz", field)
     # site-1 spectrogram of the synthesized carrier signal
     stft_block = cfg.get("stft", {})
@@ -152,7 +153,7 @@ def cmd_evolve(args) -> int:
             nio.write_svg_heatmap(out / "spectrogram_site1.svg",
                                   sg.magnitudes[keep], title="site-1 STFT",
                                   cell=4)
-    P = energy_trace(field).P
+    P = trace.P
     print(f"evolve: {len(field.times)} steps on {model.n_sites} sites, "
           f"P(end)/P(0) = {P[-1] / P[0]:.6g}")
     return 0
@@ -272,10 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, NhskinError) as exc:

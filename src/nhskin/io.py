@@ -1,7 +1,15 @@
 """CSV/SVG emitters, readers, and the plain-text run-configuration parser.
 
 CSV uses 17-significant-digit decimals so that every float round-trips
-bit-exactly.  SVG output is generated directly (no plotting dependency).
+bit-exactly.  Every CSV writer goes through one column core: each float
+column is formatted in one pass over ``ndarray.tolist()`` and rows are
+joined with a single ``%s,...,%s\r\n`` template, giving the bytes
+``csv.writer`` would.  Grid-shaped outputs (wavefields, coefficients,
+spectrograms) format their outer value once, tile their inner labels,
+and stream in blocks of about 16k rows so memory stays flat.
+Wavefield ``.npz`` files are stored uncompressed, because ``zlib`` saves
+only about 3% on these complex arrays.
+SVG output is generated directly (no plotting dependency).
 The configuration format is INI-like: ``[section]`` headers and
 ``key = value`` lines; unknown keys are rejected with the offending line
 number in the message.
@@ -19,19 +27,66 @@ from .errors import ConfigError, ValidationError
 from .model import BC, Family, LatticeModel, make_model
 
 FLOAT_FMT = "%.17g"
+#: Rows the grid writers format and write at a time, so that the strings
+#: held in memory stay bounded however large the array is.
+_BLOCK_ROWS = 16384
 
 
 # ---------------------------------------------------------------- CSV core
 
+def _floats(values) -> list[str]:
+    """A float array (any shape, C order) as 17-digit field strings."""
+    return list(map(FLOAT_FMT.__mod__,
+                    np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _text(value) -> str:
+    """One non-float field, quoted as csv.writer's minimal quoting does."""
+    s = "" if value is None else str(value)
+    if any(c in s for c in ',"\r\n'):
+        s = '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _repeat(fields: list[str], n: int) -> list[str]:
+    """Each field ``n`` times in a row: the outer column of a grid."""
+    return [s for s in fields for _ in range(n)]
+
+
+def _write_rows(fh, columns) -> None:
+    """Write equal-length columns of field strings as ``\\r\\n`` CSV rows."""
+    row = ",".join(["%s"] * len(columns)) + "\r\n"
+    fh.writelines(map(row.__mod__, zip(*columns)))
+
+
+def _write_table(path, header, blocks) -> None:
+    """Write the header, then each block (a list of columns) in turn."""
+    with Path(path).open("w", newline="") as fh:
+        _write_rows(fh, [[_text(h)] for h in header])
+        for columns in blocks:
+            _write_rows(fh, columns)
+
+
+def _grid_blocks(outer, inner: list[str], *values):
+    """Columns ``outer[i], inner[j], v[i, j] for v in values``, j fastest.
+
+    The outer values are formatted once and repeated, the inner labels are
+    tiled, and each block covers whole outer steps of about ``_BLOCK_ROWS``
+    rows (one step when ``inner`` alone is longer).
+    """
+    outer = _floats(outer)
+    step = max(1, _BLOCK_ROWS // max(1, len(inner)))
+    for i in range(0, len(outer), step):
+        head = outer[i:i + step]
+        yield [_repeat(head, len(inner)), inner * len(head),
+               *(_floats(v[i:i + step]) for v in values)]
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows of numbers/strings; floats use the 17-digit format."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([FLOAT_FMT % v if isinstance(v, float) else v
-                        for v in row])
+    """Write equal-length rows of numbers/strings; floats use the 17-digit format."""
+    columns = [[FLOAT_FMT % v if isinstance(v, float) else _text(v) for v in col]
+               for col in zip(*rows)]
+    _write_table(path, header, [columns])
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -44,29 +99,28 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 # ------------------------------------------------------------- exporters
 
 def write_spectrum_csv(path, spectrum) -> None:
-    write_csv(path, ["index", "Re_E", "Im_E"],
-              ((i, float(E.real), float(E.imag))
-               for i, E in enumerate(spectrum.eigenvalues)))
+    E = spectrum.eigenvalues
+    _write_table(path, ["index", "Re_E", "Im_E"],
+                 [[list(map(str, range(len(E)))), _floats(E.real), _floats(E.imag)]])
 
 
 def write_gbz_csv(path, gbz) -> None:
-    write_csv(path, ["band_pair", "Re_beta", "Im_beta", "Re_E", "Im_E"],
-              ((int(p), float(b.real), float(b.imag), float(E.real), float(E.imag))
-               for p, b, E in zip(gbz.band_pair, gbz.betas, gbz.energies)))
+    _write_table(path, ["band_pair", "Re_beta", "Im_beta", "Re_E", "Im_E"],
+                 [[[str(int(p)) for p in gbz.band_pair],
+                   _floats(gbz.betas.real), _floats(gbz.betas.imag),
+                   _floats(gbz.energies.real), _floats(gbz.energies.imag)]])
 
 
 def write_wavefield_csv(path, field) -> None:
-    def rows():
-        for it, t in enumerate(field.times):
-            for ix in range(field.amplitudes.shape[1]):
-                a = field.amplitudes[it, ix]
-                yield (float(t), ix + 1, float(a.real), float(a.imag))
-    write_csv(path, ["time", "site", "Re_psi", "Im_psi"], rows())
+    A = field.amplitudes
+    sites = list(map(str, range(1, A.shape[1] + 1)))
+    _write_table(path, ["time", "site", "Re_psi", "Im_psi"],
+                 _grid_blocks(field.times, sites, A.real, A.imag))
 
 
 def write_wavefield_npz(path, field) -> None:
-    """Binary columnar dump for large runs."""
-    np.savez_compressed(path, times=field.times, amplitudes=field.amplitudes)
+    """Binary columnar dump for large runs (stored, not compressed)."""
+    np.savez(path, times=field.times, amplitudes=field.amplitudes)
 
 
 def read_wavefield_npz(path):
@@ -75,37 +129,29 @@ def read_wavefield_npz(path):
 
 
 def write_energy_csv(path, trace) -> None:
-    write_csv(path, ["time", "P"],
-              ((float(t), float(p)) for t, p in zip(trace.times, trace.P)))
+    _write_table(path, ["time", "P"], [[_floats(trace.times), _floats(trace.P)]])
 
 
 def write_spectrogram_csv(path, spectrogram) -> None:
-    def rows():
-        for i, f in enumerate(spectrogram.frequencies):
-            for j, t in enumerate(spectrogram.times):
-                yield (float(f), float(t), float(spectrogram.magnitudes[i, j]))
-    write_csv(path, ["frequency", "time", "magnitude"], rows())
+    _write_table(path, ["frequency", "time", "magnitude"],
+                 _grid_blocks(spectrogram.frequencies, _floats(spectrogram.times),
+                              spectrogram.magnitudes))
 
 
 def write_phase_diagram_csv(path, diagram) -> None:
-    def rows():
-        for i4, t4 in enumerate(diagram.t4_grid):
-            for i3, t3 in enumerate(diagram.t3_grid):
-                lab = diagram.labels[i4, i3]
-                yield (float(t3), float(t4), lab.label.value,
-                       float(diagram.im_magnitude[i4, i3]))
-    write_csv(path, ["t3", "t4", "label", "max_im"], rows())
+    t3, t4 = _floats(diagram.t3_grid), _floats(diagram.t4_grid)
+    _write_table(path, ["t3", "t4", "label", "max_im"],
+                 [[t3 * len(t4), _repeat(t4, len(t3)),
+                   [lab.label.value for lab in diagram.labels.ravel()],
+                   _floats(diagram.im_magnitude)]])
 
 
 def write_coefficients_csv(path, times, coefficients) -> None:
     """Projection/decomposition coefficients as (time, index, Re, Im)."""
-    C = np.asarray(coefficients)
-    flat = C.reshape(len(times), -1)
-    def rows():
-        for it, t in enumerate(times):
-            for j in range(flat.shape[1]):
-                yield (float(t), j, float(flat[it, j].real), float(flat[it, j].imag))
-    write_csv(path, ["time", "index", "Re", "Im"], rows())
+    flat = np.asarray(coefficients).reshape(len(times), -1)
+    index = list(map(str, range(flat.shape[1])))
+    _write_table(path, ["time", "index", "Re", "Im"],
+                 _grid_blocks(times, index, flat.real, flat.imag))
 
 
 # ------------------------------------------------------------- SVG output

@@ -25,11 +25,15 @@ def _write(tmp_path, name, text):
 
 def test_spectrum_preset_roundtrip(tmp_path, capsys):
     assert main(["spectrum", "--preset", "fig4a", "--out", str(tmp_path)]) == 0
-    assert "spectrum:" in capsys.readouterr().out
+    out = capsys.readouterr().out
     _, rows = read_csv(tmp_path / "spectrum.csv")
     back = np.array([complex(float(r[1]), float(r[2])) for r in rows])
     model = model_from_config(PRESETS["fig4a"])
-    assert np.array_equal(back, obc_spectrum(model).eigenvalues)
+    w = obc_spectrum(model).eigenvalues
+    assert np.array_equal(back, w)
+    # the damped fig4a spectrum has a negative largest Im E, not a modulus
+    assert out.startswith("spectrum: 40 modes, max Im E = -0.295493 rad/s, ")
+    assert f"max Im E = {w.imag.max():.6g} rad/s" in out
 
 
 def test_gbz_preset_both_formats(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import csv
+import io
 import xml.etree.ElementTree as ET
+import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhskin import ConfigError, ValidationError, obc_spectrum
-from nhskin.io import (load_config, model_from_config, model_to_config,
-                       parse_config, read_csv, write_csv, write_gbz_csv,
-                       write_spectrum_csv, write_svg_heatmap,
-                       write_svg_scatter)
+from nhskin import io as nio
+from nhskin.analysis import Phase
+from nhskin.io import (FLOAT_FMT, load_config, model_from_config,
+                       model_to_config, parse_config, read_csv,
+                       read_wavefield_npz, write_coefficients_csv, write_csv,
+                       write_energy_csv, write_gbz_csv, write_phase_diagram_csv,
+                       write_spectrogram_csv, write_spectrum_csv,
+                       write_svg_heatmap, write_svg_scatter,
+                       write_wavefield_csv, write_wavefield_npz)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           width=64)
@@ -45,6 +54,127 @@ def test_gbz_csv_columns(tmp_path, model_a):
     assert len(rows) == len(g.betas)
     back = np.array([complex(float(r[1]), float(r[2])) for r in rows])
     assert np.array_equal(back, g.betas)
+
+
+def _oracle_csv(header, rows) -> bytes:
+    """Reference bytes: the row-by-row csv.writer loop the writers replaced."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode()
+
+
+def _awkward_floats(rng, shape):
+    """Random floats over many magnitudes, with signed zeros and extremes."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    flat = x.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::11] = 1.0 / 3.0
+    flat[5::13] = np.finfo(float).tiny
+    return x
+
+
+@pytest.mark.parametrize("n_outer, n_inner, block", [
+    (1, 1, None),      # a single row
+    (3, 5, 7),         # rows not a multiple of the block
+    (4, 10, 7),        # inner length longer than the block
+    (1100, 17, None),  # several default-size blocks, the last one partial
+])
+def test_grid_writers_match_row_oracle(tmp_path, monkeypatch, n_outer,
+                                       n_inner, block):
+    if block is not None:
+        monkeypatch.setattr(nio, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(n_outer * 100 + n_inner)
+    outer = _awkward_floats(rng, n_outer)
+    inner = _awkward_floats(rng, n_inner)
+    A = _awkward_floats(rng, (n_outer, n_inner)) \
+        + 1j * _awkward_floats(rng, (n_outer, n_inner))
+
+    write_wavefield_csv(tmp_path / "w.csv",
+                        SimpleNamespace(times=outer, amplitudes=A))
+    assert (tmp_path / "w.csv").read_bytes() == _oracle_csv(
+        ["time", "site", "Re_psi", "Im_psi"],
+        ((float(t), ix + 1, float(A[it, ix].real), float(A[it, ix].imag))
+         for it, t in enumerate(outer) for ix in range(n_inner)))
+
+    C = A.reshape(n_outer, 1, n_inner)   # writer flattens trailing axes
+    write_coefficients_csv(tmp_path / "c.csv", outer, C)
+    assert (tmp_path / "c.csv").read_bytes() == _oracle_csv(
+        ["time", "index", "Re", "Im"],
+        ((float(t), j, float(A[it, j].real), float(A[it, j].imag))
+         for it, t in enumerate(outer) for j in range(n_inner)))
+
+    M = np.abs(A)
+    write_spectrogram_csv(tmp_path / "s.csv", SimpleNamespace(
+        frequencies=outer, times=inner, magnitudes=M))
+    assert (tmp_path / "s.csv").read_bytes() == _oracle_csv(
+        ["frequency", "time", "magnitude"],
+        ((float(f), float(t), float(M[i, j]))
+         for i, f in enumerate(outer) for j, t in enumerate(inner)))
+
+
+def test_flat_writers_match_row_oracle(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 23
+    z = _awkward_floats(rng, n) + 1j * _awkward_floats(rng, n)
+    w = _awkward_floats(rng, n) + 1j * _awkward_floats(rng, n)
+
+    write_spectrum_csv(tmp_path / "spectrum.csv", SimpleNamespace(eigenvalues=z))
+    assert (tmp_path / "spectrum.csv").read_bytes() == _oracle_csv(
+        ["index", "Re_E", "Im_E"],
+        ((i, float(E.real), float(E.imag)) for i, E in enumerate(z)))
+
+    pairs = rng.integers(0, 2, n)
+    write_gbz_csv(tmp_path / "gbz.csv",
+                  SimpleNamespace(band_pair=pairs, betas=z, energies=w))
+    assert (tmp_path / "gbz.csv").read_bytes() == _oracle_csv(
+        ["band_pair", "Re_beta", "Im_beta", "Re_E", "Im_E"],
+        ((int(p), float(b.real), float(b.imag), float(E.real), float(E.imag))
+         for p, b, E in zip(pairs, z, w)))
+
+    write_energy_csv(tmp_path / "energy.csv",
+                     SimpleNamespace(times=z.real, P=w.real))
+    assert (tmp_path / "energy.csv").read_bytes() == _oracle_csv(
+        ["time", "P"], ((float(t), float(p)) for t, p in zip(z.real, w.real)))
+
+    t3, t4 = _awkward_floats(rng, 4), _awkward_floats(rng, 3)
+    phases = list(Phase)
+    labels = np.empty((3, 4), dtype=object)
+    for k in range(labels.size):
+        labels.flat[k] = SimpleNamespace(label=phases[k % len(phases)])
+    im = _awkward_floats(rng, (3, 4))
+    write_phase_diagram_csv(tmp_path / "pd.csv", SimpleNamespace(
+        t3_grid=t3, t4_grid=t4, labels=labels, im_magnitude=im))
+    assert (tmp_path / "pd.csv").read_bytes() == _oracle_csv(
+        ["t3", "t4", "label", "max_im"],
+        ((float(a), float(b), labels[i4, i3].label.value, float(im[i4, i3]))
+         for i4, b in enumerate(t4) for i3, a in enumerate(t3)))
+
+
+def test_write_csv_mixed_fields_match_row_oracle(tmp_path):
+    rows = [(np.float64(0.1), 3, "plain", None),
+            (-0.0, np.int64(-2), 'has "quotes"', "a,b"),
+            (1e300, True, "two\nlines", "")]
+    write_csv(tmp_path / "mixed.csv", ["x", "n", "text", "note"], rows)
+    assert (tmp_path / "mixed.csv").read_bytes() == _oracle_csv(
+        ["x", "n", "text", "note"], rows)
+
+
+def test_wavefield_npz_roundtrip_is_exact_and_stored(tmp_path):
+    rng = np.random.default_rng(3)
+    field = SimpleNamespace(times=np.linspace(0.0, 1.0, 11),
+                            amplitudes=_awkward_floats(rng, (11, 8))
+                            + 1j * _awkward_floats(rng, (11, 8)))
+    path = tmp_path / "wavefield.npz"
+    write_wavefield_npz(path, field)
+    times, amps = read_wavefield_npz(path)
+    for back, orig in ((times, field.times), (amps, field.amplitudes)):
+        assert back.dtype == orig.dtype and back.shape == orig.shape
+        assert back.tobytes() == orig.tobytes()   # bit-identical
+    with zipfile.ZipFile(path) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
 
 
 def test_svg_heatmap_is_valid_xml(tmp_path):
