@@ -22,7 +22,6 @@ def main() -> int:
     ap.add_argument("--t-max", type=float, default=6.0)
     ap.add_argument("--resolution", type=int, default=24)
     ap.add_argument("--n-cells", type=int, default=25)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -30,8 +29,7 @@ def main() -> int:
     diagram = scan_phase_diagram(
         args.t1, args.t2,
         t3_range=(args.t_min, args.t_max), t4_range=(args.t_min, args.t_max),
-        resolution=args.resolution, n_cells=args.n_cells,
-        threads=args.threads)
+        resolution=args.resolution, n_cells=args.n_cells)
     write_phase_diagram_csv(out / "phase_diagram.csv", diagram)
     write_svg_heatmap(out / "phase_diagram.svg", diagram.im_magnitude,
                       title="max |Im E_OBC| over (t3, t4)")

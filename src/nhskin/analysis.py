@@ -225,13 +225,11 @@ def _hermitian_gap(model: LatticeModel) -> float:
 def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),
                        t4_range=(0.2, 6.0), resolution: int = 24,
                        n_cells: int = 25, tol_im: float | None = None,
-                       tol_gap: float | None = None,
-                       threads: int = 1) -> PhaseDiagram:
+                       tol_gap: float | None = None) -> PhaseDiagram:
     """Classify every point of a (t3, t4) grid.
 
     Points closer to the Hermitian line than half a grid step are labeled
-    Boundary.  Grid points are independent and may be evaluated on a thread
-    pool; results are always assembled in (t4, t3) order.
+    Boundary.
     """
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")
@@ -241,21 +239,13 @@ def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),
     labels = np.empty((resolution, resolution), dtype=object)
     im_mag = np.zeros((resolution, resolution))
 
-    def point(i4, i3):
-        m = make_model(Family.GT, t1, t2, t3s[i3], t4s[i4], n_cells=n_cells)
-        return classify_phase(m, tol_im, tol_gap, boundary_tol=step / 2,
-                              gbz_sites=m.n_sites)
-
-    pairs = [(i4, i3) for i4 in range(resolution) for i3 in range(resolution)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: point(*p), pairs))
-    else:
-        results = [point(*p) for p in pairs]
-    for (i4, i3), lab in zip(pairs, results):
-        labels[i4, i3] = lab
-        im_mag[i4, i3] = lab.max_abs_im if np.isfinite(lab.max_abs_im) else 0.0
+    for i4 in range(resolution):
+        for i3 in range(resolution):
+            m = make_model(Family.GT, t1, t2, t3s[i3], t4s[i4], n_cells=n_cells)
+            lab = classify_phase(m, tol_im, tol_gap, boundary_tol=step / 2,
+                                 gbz_sites=m.n_sites)
+            labels[i4, i3] = lab
+            im_mag[i4, i3] = lab.max_abs_im if np.isfinite(lab.max_abs_im) else 0.0
     return PhaseDiagram(t3s, t4s, labels, im_mag)
 
 

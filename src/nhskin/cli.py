@@ -16,8 +16,8 @@ import numpy as np
 from . import io as nio
 from .analysis import (PATH1, PATH2, growth_rate, laplace_projection,
                        obc_decomposition, scan_phase_diagram, transition_sweep)
-from .dynamics import (default_time_grid, energy_trace, evolve, poke_state,
-                       stft, synthesize_signal)
+from .dynamics import (WaveField, default_time_grid, energy_trace, evolve,
+                       poke_state, stft, synthesize_signal)
 from .errors import ConfigError, NhskinError, NumericalError, ValidationError
 from .gbz import gbz_compute, gbz_touching_point, skin_direction
 from .model import Family, make_model
@@ -124,8 +124,7 @@ def _evolve_from_config(cfg):
     fs = _floats(block, "fs", 500.0)
     site = int(block.get("poke_site", "20")) if block else 20
     t = default_time_grid(horizon, fs) if horizon > 0 else np.array([0.0])
-    field = evolve(model, poke_state(model, site),
-                   t, method=block.get("method", "auto") if block else "auto")
+    field = evolve(model, poke_state(model, site), t)
     return model, field
 
 
@@ -166,12 +165,13 @@ def cmd_project(args) -> int:
     gbz_model = model.with_(gamma=0.0)
     g = gbz_compute(gbz_model, method=block.get("method", "obc_fit"),
                     n_sites=int(block.get("n_sites", "160")))
-    # decimate the stored coefficients to a manageable 10 Hz output grid
-    keep = slice(None, None, max(1, (len(field.times) - 1) // 200))
-    from .dynamics import WaveField
+    # decimate both coefficient sets to about 200 output times, keeping the
+    # last one, which picks the dominant late mode
+    last = len(field.times) - 1
+    keep = np.r_[0:last:max(1, last // 200), last]
     sub = WaveField(field.times[keep], field.amplitudes[keep], model)
     proj = laplace_projection(sub, g)
-    dec = obc_decomposition(field)
+    dec = obc_decomposition(sub)
     out = _outdir(args)
     if args.format in ("csv", "both"):
         nio.write_coefficients_csv(out / "gbz_projection.csv", proj.times,
@@ -183,7 +183,10 @@ def cmd_project(args) -> int:
         nio.write_svg_heatmap(out / "gbz_projection.svg",
                               proj.band_pair_magnitude().T,
                               title="|C(t)| per GBZ point", cell=3)
-    j = int(np.argmax(np.abs(dec.coefficients[-1])))
+    # the symmetry pair (E, -conj(E)) carries equal weight up to rounding:
+    # report the first near-maximal mode in spectrum order (ascending Re)
+    late = np.abs(dec.coefficients[-1])
+    j = int(np.argmax(late >= (1 - 1e-9) * late.max()))
     E = dec.spectrum.eigenvalues[j]
     print(f"project: {len(g.betas)} GBZ points, dominant late mode "
           f"E = {E.real:.6g}{E.imag:+.6g}j rad/s")
@@ -203,8 +206,7 @@ def cmd_phase_diagram(args) -> int:
         t3_range=(float(block["t3_min"]), float(block["t3_max"])),
         t4_range=(float(block["t4_min"]), float(block["t4_max"])),
         resolution=int(block["resolution"]),
-        n_cells=int(block.get("n_cells", "25")),
-        threads=args.threads)
+        n_cells=int(block.get("n_cells", "25")))
     out = _outdir(args)
     if args.format in ("csv", "both"):
         nio.write_phase_diagram_csv(out / "phase_diagram.csv", diagram)
@@ -263,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help="named parameter preset "
                    f"({', '.join(sorted(PRESETS))})")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for grid scans")
     p.add_argument("--format", choices=["csv", "svg", "both"], default="csv")
     return p
 

@@ -49,7 +49,10 @@ class Direction(str, Enum):
 @dataclass(frozen=True)
 class GBZ:
     """GBZ point set: one (beta, E) entry per point, grouped into the two
-    band-pair components (0 = smaller |Re E| pair at that beta)."""
+    band-pair components (0 = smaller |Re E| pair at that beta).
+
+    ``chain_eigenvalues`` holds every OBC eigenvalue of the fitted chain
+    (``obc_fit`` only), which :func:`gap_report` reuses for that chain."""
 
     betas: np.ndarray
     energies: np.ndarray
@@ -57,6 +60,7 @@ class GBZ:
     method: GbzMethod
     n_sites_used: int
     model: LatticeModel
+    chain_eigenvalues: np.ndarray | None
 
     def component(self, pair: int) -> np.ndarray:
         return self.betas[self.band_pair == pair]
@@ -198,10 +202,13 @@ def _band_pairs(model: LatticeModel, betas: np.ndarray, energies: np.ndarray) ->
     return (d_large < d_small).astype(int)
 
 
+def _fit_chain(model: LatticeModel, n_sites: int) -> LatticeModel:
+    """The undamped open chain of ``n_sites`` sites that ``obc_fit`` diagonalizes."""
+    return model.with_(gamma=0.0, n_cells=n_sites // model.sites_per_cell, bc=BC.OBC)
+
+
 def _obc_fit_gbz(model: LatticeModel, n_sites: int, pair_tol: float):
-    s = model.sites_per_cell
-    m0 = model.with_(gamma=0.0, n_cells=n_sites // s, bc=BC.OBC)
-    w = np.linalg.eigvals(real_space_hamiltonian(m0))
+    w = np.linalg.eigvals(real_space_hamiltonian(_fit_chain(model, n_sites)))
     coeffs = charpoly_coefficients(model, w)
     roots = _roots_many(coeffs)
     i, j = _middle_pair_indices(roots.shape[1])
@@ -214,7 +221,7 @@ def _obc_fit_gbz(model: LatticeModel, n_sites: int, pair_tol: float):
         ok &= np.abs(w.real) >= half_gap - tol
     betas = np.concatenate([b2[ok], b3[ok]])
     energies = np.concatenate([w[ok], w[ok]])
-    return betas, energies
+    return betas, energies, w
 
 
 def _charpoly_gbz(model: LatticeModel, n_theta: int = 120,
@@ -272,13 +279,14 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
     if n_sites % s != 0 or n_sites < 4 * s:
         raise ValidationError(f"n_sites must be a multiple of {s} and >= {4 * s}")
     if method is GbzMethod.OBC_FIT:
-        betas, energies = _obc_fit_gbz(model, n_sites, pair_tol)
+        betas, energies, chain_eigenvalues = _obc_fit_gbz(model, n_sites, pair_tol)
     else:
         betas, energies = _charpoly_gbz(model)
+        chain_eigenvalues = None
     if len(betas) == 0:
         raise ValidationError("no GBZ points found")
     band_pair = _band_pairs(model, betas, energies)
-    out = GBZ(betas, energies, band_pair, method, n_sites, model)
+    out = GBZ(betas, energies, band_pair, method, n_sites, model, chain_eigenvalues)
     if cross_check:
         if method is not GbzMethod.OBC_FIT:
             ref = gbz_compute(model, GbzMethod.OBC_FIT, n_sites, pair_tol)
@@ -404,11 +412,16 @@ def gap_report(model: LatticeModel, tol_im: float | None = None,
     The gap is measured on the non-Bloch bulk bands sampled over the GBZ
     (which excludes topological in-gap edge modes by construction), while
     realness is judged on the OBC eigenvalues of the model itself with the
-    uniform damping removed.
+    uniform damping removed.  When ``gbz`` was fitted on that same chain,
+    its eigenvalues are reused instead of diagonalizing the chain again.
     """
-    # only eigenvalues are needed here; skip the eigenvector conditioning
-    eigs0 = np.linalg.eigvals(
-        real_space_hamiltonian(model.with_(gamma=0.0, bc=BC.OBC)))
+    chain = _fit_chain(model, model.n_sites)
+    if (gbz is not None and gbz.chain_eigenvalues is not None
+            and _fit_chain(gbz.model, gbz.n_sites_used) == chain):
+        eigs0 = gbz.chain_eigenvalues
+    else:
+        # only eigenvalues are needed here; skip the eigenvector conditioning
+        eigs0 = np.linalg.eigvals(real_space_hamiltonian(chain))
     radius = max(float(np.max(np.abs(eigs0))), 1e-300)
     if tol_im is None:
         tol_im = 1e-6 * radius

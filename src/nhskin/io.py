@@ -238,13 +238,12 @@ def write_svg_scatter(path, x, y, title: str = "", size: int = 420,
 CONFIG_SCHEMA = {
     "model": {"family", "t1", "t2", "t3", "t4", "omega0", "gamma",
               "n_cells", "bc", "nhssh_delta"},
-    "evolve": {"horizon", "fs", "poke_site", "method"},
+    "evolve": {"horizon", "fs", "poke_site"},
     "gbz": {"method", "n_sites", "cross_check", "cross_tol"},
     "stft": {"window_s", "hop_s"},
     "phase_diagram": {"t3_min", "t3_max", "t4_min", "t4_max",
                       "resolution", "n_cells"},
     "sweep": {"path", "samples", "horizon", "n_cells"},
-    "run": {"seed"},
 }
 
 _MODEL_DEFAULTS = {"omega0": "0", "gamma": "0", "n_cells": "10", "bc": "OBC"}

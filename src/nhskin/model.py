@@ -201,12 +201,3 @@ def apply_symmetry(model: LatticeModel, op: SymmetryOp) -> LatticeModel:
         kw[a] = getattr(model, b)
         kw[b] = getattr(model, a)
     return model.with_(**kw) if kw else model
-
-
-# Named damping presets from the mechanical realization: intrinsic oscillator
-# loss and the attenuated range (in Hz, converted to rad/s where needed).
-DAMPING_PRESETS = {
-    "intrinsic": 2.64,                 # rad/s, about 0.42 Hz
-    "attenuated_min": 2 * np.pi * 0.49,
-    "attenuated_max": 2 * np.pi * 1.06,
-}

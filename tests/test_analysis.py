@@ -3,10 +3,11 @@ import pytest
 
 from nhskin import (PATH1, PATH2, Direction, Family, Phase, SymmetryOp,
                     ValidationError, apply_symmetry, classify_phase,
-                    default_time_grid, energy_trace, evolve, gbz_compute,
-                    growth_rate, hn_direction, laplace_projection, make_model,
-                    non_bloch_hamiltonian, obc_decomposition, obc_spectrum,
-                    poke_state, scan_phase_diagram, transition_sweep)
+                    default_time_grid, energy_trace, evolve, gap_report,
+                    gbz_compute, growth_rate, hn_direction, laplace_projection,
+                    make_model, non_bloch_hamiltonian, obc_decomposition,
+                    obc_spectrum, poke_state, scan_phase_diagram,
+                    transition_sweep)
 from nhskin.dynamics import WaveField
 from nhskin.spectral import eig_biorthogonal
 
@@ -148,13 +149,29 @@ def test_scan_small_grid_symmetry():
             assert d.labels[i4, i3].label is swaps[d.labels[i3, i4].label]
 
 
-def test_scan_threads_deterministic():
-    a = scan_phase_diagram(1, 2, (1.0, 5.0), (1.0, 5.0), resolution=4, n_cells=8)
-    b = scan_phase_diagram(1, 2, (1.0, 5.0), (1.0, 5.0), resolution=4, n_cells=8,
-                           threads=4)
-    assert np.array_equal(a.im_magnitude, b.im_magnitude)
-    assert all(x.label is y.label for x, y in
-               zip(a.labels.ravel(), b.labels.ravel()))
+def test_scan_diagonalizes_each_chain_once(monkeypatch):
+    """The GBZ fit and the gap report of a phase point share one eigensolve
+    of the open chain, and the shared eigenvalues give the labels and
+    magnitudes the report computes on its own, bit for bit."""
+    eigvals = np.linalg.eigvals
+    chain_calls = []
+
+    def counting(a):
+        if np.shape(a)[-1] == 32:
+            chain_calls.append(1)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    d = scan_phase_diagram(1, 2, (1.0, 5.0), (1.0, 5.0), resolution=4, n_cells=8)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    off_diagonal = [(i4, i3) for i4 in range(4) for i3 in range(4) if i3 != i4]
+    assert len(chain_calls) == len(off_diagonal)
+    for i4, i3 in off_diagonal:
+        m = make_model(Family.GT, 1, 2, d.t3_grid[i3], d.t4_grid[i4], n_cells=8)
+        rep = gap_report(m, gbz_sites=m.n_sites)
+        assert d.labels[i4, i3].max_abs_im == rep.max_abs_im
+        assert d.labels[i4, i3].line_gap == rep.line_gap_width
+        assert d.im_magnitude[i4, i3] == rep.max_abs_im
 
 
 def test_paths_share_origin():

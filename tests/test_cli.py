@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from nhskin import obc_spectrum
 from nhskin.cli import PRESETS, main
@@ -68,14 +69,33 @@ def test_evolve_zero_horizon_equals_initial_state(tmp_path):
     assert all(float(r[0]) == 0.0 for r in rows)
 
 
+def _time_column(path):
+    _, rows = read_csv(path)
+    return sorted({float(r[0]) for r in rows})
+
+
 def test_project_writes_coefficients(tmp_path, capsys):
+    # 404 samples: decimated by 2, with the last one appended
     cfg = _write(tmp_path, "run.cfg",
-                 FIG4A_MODEL + "\n[evolve]\nhorizon = 2\nfs = 100\n")
+                 FIG4A_MODEL + "\n[evolve]\nhorizon = 4.03\nfs = 100\n")
     out = tmp_path / "out"
     assert main(["project", "--config", cfg, "--out", str(out)]) == 0
     assert "dominant late mode" in capsys.readouterr().out
     for name in ("gbz_projection.csv", "mode_decomposition.csv", "gbz.csv"):
         assert (out / name).exists(), name
+    times = _time_column(out / "gbz_projection.csv")
+    assert _time_column(out / "mode_decomposition.csv") == times
+    assert len(times) == 203
+    assert times[-1] == pytest.approx(4.03)
+
+
+def test_project_dominant_mode_is_first_of_symmetry_pair(tmp_path, capsys):
+    """On fig4a the pair (E, -conj(E)) carries equal late weight up to
+    rounding; the reported mode is the first of the pair in spectrum order."""
+    cfg = _write(tmp_path, "run.cfg", "[evolve]\nhorizon = 10\n")
+    assert main(["project", "--preset", "fig4a", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "dominant late mode E = -10.5013-0.295493j rad/s" in capsys.readouterr().out
 
 
 def test_phase_diagram_csv_symmetry(tmp_path):
@@ -96,8 +116,7 @@ resolution = 4
 n_cells = 8
 """)
     out = tmp_path / "out"
-    assert main(["phase-diagram", "--config", cfg, "--out", str(out),
-                 "--threads", "2"]) == 0
+    assert main(["phase-diagram", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_csv(out / "phase_diagram.csv")
     assert len(rows) == 16
     labels = {(r[0], r[1]): r[2] for r in rows}

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhskin import (Family, HorizonTruncationError, ValidationError,
                     default_time_grid, energy_trace, evolve, make_model,
-                    packet_center, poke_state, stft, synthesize_signal)
+                    packet_center, poke_state, real_space_hamiltonian, stft,
+                    synthesize_signal)
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
@@ -56,12 +58,26 @@ def test_damping_factorization(t1, t2, t3, t4, gamma):
     assert np.max(np.abs(damped - free * np.exp(-gamma * t)[:, None])) < 1e-10
 
 
-def test_spectral_vs_integrator(model_a):
+def test_spectral_vs_integrator(model_a, dop853):
     t = default_time_grid(10.0, fs=50.0)
     psi0 = poke_state(model_a, 20)
-    a = evolve(model_a, psi0, t, method="spectral").amplitudes
-    b = evolve(model_a, psi0, t, method="integrator").amplitudes
+    a = evolve(model_a, psi0, t).amplitudes
+    b = dop853(model_a, psi0, t)
     assert np.max(np.abs(a - b)) < 1e-6 * np.max(np.abs(a))
+
+
+def test_near_exceptional_chain_matches_matrix_exponential(model_a):
+    """At 160 sites the eigenvector condition number of phase A is ~1e17;
+    the field must still match expm(-iHt) psi0 e^(-gamma t) row by row."""
+    m = model_a.with_(n_cells=40)
+    t = default_time_grid(10.0)
+    psi0 = poke_state(m, 20)
+    field = evolve(m, psi0, t)
+    H = real_space_hamiltonian(m.with_(gamma=0.0))
+    for k in (1, 2, 3, 41, 1234, 2500, len(t) - 1):
+        ref = scipy.linalg.expm(-1j * t[k] * H) @ psi0 * np.exp(-m.gamma * t[k])
+        err = np.max(np.abs(field.amplitudes[k] - ref))
+        assert err < 1e-10 * np.max(np.abs(ref)), (k, err)
 
 
 def test_growth_rate_matches_spectrum(model_b):
@@ -100,6 +116,8 @@ def test_time_grid_validation(model_a):
         evolve(model_a, psi0, np.array([1.0, 2.0]))   # must start at 0
     with pytest.raises(ValidationError):
         evolve(model_a, psi0, np.array([0.0, 0.0]))
+    with pytest.raises(ValidationError, match="uniform"):
+        evolve(model_a, psi0, np.array([0.0, 0.1, 0.3]))
 
 
 def test_synthesize_signal_is_carrier_cosine(model_a):

@@ -220,11 +220,16 @@ def test_parse_config_unknown_key_is_line_anchored():
     text = "[model]\nfamily = GT\nbogus = 1\n"
     with pytest.raises(ConfigError, match=r"<config>:3: unknown key 'bogus'"):
         parse_config(text)
+    # evolve has one propagator, so there is no method to choose
+    with pytest.raises(ConfigError, match=r"<config>:2: unknown key 'method'"):
+        parse_config("[evolve]\nmethod = auto\n")
 
 
 def test_parse_config_unknown_section():
     with pytest.raises(ConfigError, match=r":1: unknown section"):
         parse_config("[nope]\n")
+    with pytest.raises(ConfigError, match=r":1: unknown section \[run\]"):
+        parse_config("[run]\nseed = 1\n")
 
 
 def test_parse_config_key_outside_section():
