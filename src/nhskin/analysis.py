@@ -19,8 +19,9 @@ from .dynamics import EnergyTrace, WaveField, default_time_grid, energy_trace, e
 from .errors import ValidationError
 from .gbz import (GBZ, Direction, GapReport, GbzMethod, SkinDirection,
                   gap_report, gbz_compute, skin_direction)
-from .model import BC, Family, LatticeModel, make_model, non_bloch_hamiltonian
-from .spectral import Spectrum, eig_biorthogonal, obc_spectrum, spectral_radius
+from .model import (BC, Family, LatticeModel, make_model, non_bloch_hamiltonian,
+                    non_bloch_hamiltonians)
+from .spectral import Spectrum, eig_biorthogonal, obc_spectrum
 
 
 class Phase(str, Enum):
@@ -155,10 +156,11 @@ def laplace_projection(field: WaveField, gbz: GBZ, normalized: bool = True) -> G
     psi = field.amplitudes.reshape(len(field.times), N, s)
     x = np.arange(1, N + 1)
     C = np.empty((len(field.times), len(gbz.betas), s), dtype=complex)
+    cells = non_bloch_hamiltonians(gbz.model, gbz.betas)
     for p, beta in enumerate(gbz.betas):
         weights = beta ** (-x.astype(float))
         Psi = np.tensordot(psi, weights, axes=([1], [0]))   # (T, s)
-        cell = eig_biorthogonal(non_bloch_hamiltonian(gbz.model, beta))
+        cell = eig_biorthogonal(cells[p])
         C[:, p, :] = Psi @ cell.left_vectors.conj()
     if normalized:
         peak = np.max(np.abs(C), axis=(1, 2), keepdims=True)
@@ -215,11 +217,9 @@ def classify_phase(model: LatticeModel, tol_im: float | None = None,
 
 def _hermitian_gap(model: LatticeModel) -> float:
     """Line gap of a Hermitian model from a dense Bloch sweep."""
-    from .model import bloch_hamiltonian
     ks = np.linspace(-np.pi, np.pi, 401)
-    e0 = min(np.min(np.abs(np.linalg.eigvalsh(bloch_hamiltonian(model, k))))
-             for k in ks)
-    return 2 * float(e0)
+    e = np.linalg.eigvalsh(non_bloch_hamiltonians(model, np.exp(1j * ks)))
+    return 2 * float(np.min(np.abs(e)))
 
 
 def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),

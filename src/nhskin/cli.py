@@ -112,8 +112,10 @@ def cmd_gbz(args) -> int:
         touch_txt = f"touching point beta = {touch.real:.6g}{touch.imag:+.3g}j"
     except NumericalError:
         touch_txt = "no touching point"
+    brackets_txt = ("" if g.brackets is None else
+                    " ({} of {} brackets rejected)".format(*g.brackets))
     print(f"gbz: {len(g.betas)} points, direction = {sd.direction.value}, "
-          f"mean log|beta| = {sd.mean_log_modulus:.4g}, {touch_txt}")
+          f"mean log|beta| = {sd.mean_log_modulus:.4g}, {touch_txt}{brackets_txt}")
     return 0
 
 

@@ -4,11 +4,16 @@ Two independent GBZ constructions are provided:
 
 * ``obc_fit`` diagonalizes a long open chain and keeps, for every bulk
   eigenvalue E, the middle-modulus pair of characteristic roots beta
-  (the pair that must degenerate in modulus in the thermodynamic limit).
+  (the pair that must degenerate in modulus in the thermodynamic limit),
+  reported at their balanced radius.
 * ``charpoly`` never diagonalizes the chain: along each ray beta = r e^{i theta}
   it bisects for the radius at which the middle root pair of the
   characteristic polynomial has equal modulus.  The brackets of all rays
   and bands are bisected together, one batched balance evaluation per step.
+
+Both read the characteristic polynomial beta^p det(H(beta) - E) from an exact
+table of its bivariate coefficients and solve it for beta in closed form
+(Ferrari for the double chain's quartic, the quadratic formula otherwise).
 
 Agreement of the two methods is the main internal consistency check.
 
@@ -28,11 +33,7 @@ import numpy as np
 
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
-from .model import BC, Family, LatticeModel, non_bloch_hamiltonian, real_space_hamiltonian
-from .spectral import obc_spectrum, spectral_radius
-
-#: maximal inverse power of beta appearing in det(H(beta) - E)
-_INV_POWER = {Family.GT: 2, Family.HATANO_NELSON: 1, Family.NH_SSH: 1}
+from .model import BC, Family, LatticeModel, non_bloch_hamiltonians, real_space_hamiltonian
 
 
 class GbzMethod(str, Enum):
@@ -52,7 +53,9 @@ class GBZ:
     band-pair components (0 = smaller |Re E| pair at that beta).
 
     ``chain_eigenvalues`` holds every OBC eigenvalue of the fitted chain
-    (``obc_fit`` only), which :func:`gap_report` reuses for that chain."""
+    (``obc_fit`` only), which :func:`gap_report` reuses for that chain.
+    ``brackets`` is (rejected, found) for the bisection brackets of
+    ``charpoly``, whose acceptance filter drops band-crossing artifacts."""
 
     betas: np.ndarray
     energies: np.ndarray
@@ -61,6 +64,7 @@ class GBZ:
     n_sites_used: int
     model: LatticeModel
     chain_eigenvalues: np.ndarray | None
+    brackets: tuple[int, int] | None = None
 
     def component(self, pair: int) -> np.ndarray:
         return self.betas[self.band_pair == pair]
@@ -84,22 +88,49 @@ class GapReport:
     max_abs_im: float
 
 
-def charpoly_coefficients(model: LatticeModel, E) -> np.ndarray:
-    """Coefficients (ascending) of beta^p * det(H(beta) - E).
+def _charpoly_table(model: LatticeModel) -> np.ndarray:
+    """Exact coefficients c[p, q] of beta^P * det(H(beta) - E) = sum c_pq beta^p E^q.
 
-    ``E`` may be a scalar or an array; the coefficients are recovered exactly
-    from samples at roots of unity (a plain DFT).  Degree is 4 for the double
-    chain and 2 for the one- and two-band reference models.
+    P is the largest inverse power of beta in H.  The double chain is chiral
+    (sites {1, 4} against {2, 3}), so only even powers of E appear:
+    det(H - E) = E^4 - tr(CD) E^2 + det C det D.
+    """
+    t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
+    if model.family is Family.GT:
+        a = t4 ** 2 - 2 * t1 * t2
+        b = t3 ** 2 - 2 * t1 * t2
+        c = np.zeros((5, 5))
+        c[0, 0] = c[4, 0] = (t1 * t2) ** 2
+        c[1, 0] = -(a * t2 ** 2 + b * t1 ** 2)
+        c[2, 0] = a * b + t1 ** 4 + t2 ** 4
+        c[3, 0] = -(a * t1 ** 2 + b * t2 ** 2)
+        c[1, 2] = c[3, 2] = -2 * t1 * t2
+        c[2, 2] = -2 * (t3 * t4 + t1 ** 2 + t2 ** 2)
+        c[2, 4] = 1.0
+    elif model.family is Family.HATANO_NELSON:
+        # beta (t1 beta + t2 / beta - E)
+        c = np.zeros((3, 2))
+        c[0, 0], c[1, 1], c[2, 0] = t2, -1.0, t1
+    else:
+        # beta (E^2 - (t1 + d + t2 / beta)(t1 - d + t2 beta))
+        d = model.delta
+        c = np.zeros((3, 3))
+        c[0, 0] = -t2 * (t1 - d)
+        c[1, 0] = -(t1 ** 2 - d ** 2 + t2 ** 2)
+        c[2, 0] = -t2 * (t1 + d)
+        c[1, 2] = 1.0
+    return c
+
+
+def charpoly_coefficients(model: LatticeModel, E) -> np.ndarray:
+    """Coefficients (ascending) of beta^p * det(H(beta) - E), one row per E.
+
+    ``E`` may be a scalar or an array.  Degree is 4 for the double chain and
+    2 for the one- and two-band reference models.
     """
     E = np.atleast_1d(np.asarray(E, dtype=complex))
-    p = _INV_POWER[model.family]
-    d = 2 * p
-    s = model.sites_per_cell
-    omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    Hs = _cell_hamiltonians(model, omega)
-    A = Hs[None, :, :, :] - E[:, None, None, None] * np.eye(s)
-    f = (omega[None, :] ** p) * np.linalg.det(A)
-    coeffs = np.fft.fft(f, axis=1) / (d + 1)
+    table = _charpoly_table(model)
+    coeffs = np.vander(E, table.shape[1], increasing=True) @ table.T
     scale = np.max(np.abs(coeffs), axis=1)
     bad = (np.abs(coeffs[:, -1]) < 1e-12 * scale) | (np.abs(coeffs[:, 0]) < 1e-12 * scale)
     if np.any(bad):
@@ -108,17 +139,99 @@ def charpoly_coefficients(model: LatticeModel, E) -> np.ndarray:
     return coeffs
 
 
+def _quadratic_roots(b, c):
+    """Both roots of x^2 + b x + c, without cancellation."""
+    disc = np.sqrt(b * b - 4 * c)
+    disc = np.where(b.real * disc.real + b.imag * disc.imag < 0, -disc, disc)
+    q = -(b + disc) / 2
+    return q, np.divide(c, q, out=np.zeros_like(q), where=q != 0)
+
+
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
+
+
+def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of a batch of quartics by Ferrari's method, shape (n, 4).
+
+    The depressed quartic y^4 + p y^2 + q y + r splits into
+    (y^2 + s y + A)(y^2 - s y + B) with s^2 = u the largest root of the
+    resolvent cubic u^3 + 2p u^2 + (p^2 - 4r) u - q^2, found by Cardano.
+    """
+    a3, a2, a1, a0 = (coeffs[:, k] / coeffs[:, 4] for k in (3, 2, 1, 0))
+    sh = a3 / 4
+    p = a2 - 6 * sh ** 2
+    q = a1 - 2 * a2 * sh + 8 * sh ** 3
+    r = a0 - a1 * sh + a2 * sh ** 2 - 3 * sh ** 4
+    # resolvent shifted by u = v - 2p/3: v^3 + P v + Q
+    P = -p * p / 3 - 4 * r
+    Q = -2 * p ** 3 / 27 + 8 * p * r / 3 - q * q
+    sd = np.sqrt((Q / 2) ** 2 + (P / 3) ** 3)
+    w = np.where(np.abs(-Q / 2 + sd) >= np.abs(-Q / 2 - sd), -Q / 2 + sd, -Q / 2 - sd)
+    C = w[:, None] ** (1 / 3) * _CUBE_ROOTS_OF_UNITY
+    u = C - np.divide(P[:, None], 3 * C, out=np.zeros_like(C), where=C != 0) - 2 * p[:, None] / 3
+    u = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
+    s = np.sqrt(u)
+    t = np.divide(q, 2 * s, out=np.zeros_like(s), where=s != 0)
+    y = np.stack(_quadratic_roots(s, (p + u) / 2 - t)
+                 + _quadratic_roots(-s, (p + u) / 2 + t), axis=1)
+    return y - sh[:, None]
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray):
+    """Values, derivatives and the scale sum |c_k| |x|^k of the rows of
+    ``coeffs`` (ascending) at ``x``."""
+    f = np.repeat(coeffs[:, -1:], x.shape[1], axis=1)
+    df = np.zeros_like(x)
+    scale = np.abs(f)
+    ax = np.abs(x)
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        df = df * x + f
+        f = f * x + coeffs[:, k:k + 1]
+        scale = scale * ax + np.abs(coeffs[:, k:k + 1])
+    return f, df, scale
+
+
+def _polish(coeffs: np.ndarray, x: np.ndarray, max_steps: int = 40) -> np.ndarray:
+    """Aberth-Ehrlich steps on the original polynomial for the rows whose
+    roots are not yet exact to rounding (|P(x)| <= 2d eps sum |c_k| |x|^k).
+
+    Ferrari's shift to the depressed quartic loses the small roots of a
+    quartic whose largest root dominates; these steps restore them, and the
+    Aberth term keeps the roots of a cluster apart."""
+    x = x.copy()
+    rows = np.arange(len(x))
+    tol = 2 * (coeffs.shape[1] - 1) * np.finfo(float).eps
+    others = ~np.eye(x.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(max_steps):
+            f, df, scale = _horner(coeffs[rows], x[rows])
+            todo = ~np.all(np.abs(f) <= tol * scale, axis=1)
+            rows, f, df = rows[todo], f[todo], df[todo]
+            if len(rows) == 0:
+                break
+            xr = x[rows]
+            newton = f / df
+            pull = np.zeros_like(xr)
+            for j in range(xr.shape[1]):
+                pull += np.where(others[j], 1 / (xr - xr[:, j:j + 1]), 0)
+            step = xr - newton / (1 - newton * pull)
+            x[rows] = np.where(np.isfinite(step), step, xr)
+    return x
+
+
 def _roots_many(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a batch of polynomials via stacked companion matrices,
+    """Roots of a batch of polynomials of degree 1, 2 or 4 in closed form,
     each row sorted by ascending modulus, ties by argument."""
-    n, d1 = coeffs.shape
-    d = d1 - 1
-    monic = coeffs / coeffs[:, -1:]
-    comp = np.zeros((n, d, d), dtype=complex)
-    comp[:, 0, :] = -monic[:, :-1][:, ::-1]
-    idx = np.arange(d - 1)
-    comp[:, idx + 1, idx] = 1.0
-    roots = np.linalg.eigvals(comp)
+    d = coeffs.shape[1] - 1
+    if d == 1:
+        roots = -coeffs[:, :1] / coeffs[:, 1:]
+    elif d == 2:
+        monic = coeffs / coeffs[:, 2:]
+        roots = np.stack(_quadratic_roots(monic[:, 1], monic[:, 0]), axis=1)
+    elif d == 4:
+        roots = _polish(coeffs, _quartic_roots(coeffs))
+    else:
+        raise ValueError(f"no closed-form roots for degree {d}")
     order = np.lexsort((np.angle(roots), np.abs(roots)), axis=1)
     return np.take_along_axis(roots, order, axis=1)
 
@@ -134,26 +247,34 @@ def _middle_pair_indices(d: int):
     return d // 2 - 1, d // 2
 
 
-def _cell_hamiltonians(model: LatticeModel, betas) -> np.ndarray:
-    """Stack of non-Bloch cell Hamiltonians, shape (n, s, s)."""
-    return np.stack([non_bloch_hamiltonian(model, b) for b in betas])
+def _cell_energies(model: LatticeModel, betas) -> np.ndarray:
+    """Eigenvalues of H(beta) per beta, shape (n, s), in LAPACK order: the
+    column is the band label that brackets follow along a ray."""
+    return np.linalg.eigvals(non_bloch_hamiltonians(model, betas))
 
 
-def _balance(model: LatticeModel, betas: np.ndarray):
-    """Middle-root balance g = log(|rho_a| |rho_b| / |beta|^2) per (beta, band),
-    shape (n, s), and the cell energies E_j(beta) it was taken at.
+def _middle_balance(model: LatticeModel, betas: np.ndarray, energies: np.ndarray):
+    """g = log(|rho_a| |rho_b| / |beta|^2) per (beta, E) pair, where rho_a,
+    rho_b are the middle-modulus roots of det(H(beta') - E) = 0."""
+    roots = _roots_many(charpoly_coefficients(model, energies))
+    i, j = _middle_pair_indices(roots.shape[1])
+    return np.log(np.abs(roots[:, i]) * np.abs(roots[:, j]) / np.abs(betas) ** 2)
 
-    rho_a, rho_b are the middle-modulus roots of det(H(beta') - E_j(beta)) = 0;
-    g changes sign where beta lies on the continuum GBZ of band j.
+
+def _balance(model: LatticeModel, betas: np.ndarray, band=None):
+    """Middle-root balance at the cell energies E_j(beta), and those energies.
+
+    g changes sign where beta lies on the continuum GBZ of band j.  Without
+    ``band`` g has shape (n, s), one column per band; with ``band`` (one
+    index per beta) only that band's quartic is solved and g has shape (n,).
     """
     betas = np.asarray(betas)
-    s = model.sites_per_cell
-    Es = np.linalg.eigvals(_cell_hamiltonians(model, betas))    # (n, s)
-    roots = _roots_many(charpoly_coefficients(model, Es.ravel()))
-    i, j = _middle_pair_indices(roots.shape[1])
-    g = np.log(np.abs(roots[:, i]) * np.abs(roots[:, j])
-               / np.abs(np.repeat(betas, s)) ** 2)
-    return g.reshape(len(betas), s), Es
+    Es = _cell_energies(model, betas)
+    if band is None:
+        s = model.sites_per_cell
+        g = _middle_balance(model, np.repeat(betas, s), Es.ravel())
+        return g.reshape(len(betas), s), Es
+    return _middle_balance(model, betas, Es[np.arange(len(betas)), band]), Es
 
 
 def _bisect(g, lo, hi, glo, steps: int) -> np.ndarray:
@@ -194,7 +315,7 @@ def _band_pairs(model: LatticeModel, betas: np.ndarray, energies: np.ndarray) ->
     s = model.sites_per_cell
     if s < 4:
         return np.zeros(len(betas), dtype=int)
-    w = np.linalg.eigvals(_cell_hamiltonians(model, betas))   # (n, 4)
+    w = _cell_energies(model, betas)
     order = np.argsort(np.abs(w.real), axis=1)
     w_sorted = np.take_along_axis(w, order, axis=1)
     d_small = np.min(np.abs(w_sorted[:, :2] - energies[:, None]), axis=1)
@@ -219,42 +340,41 @@ def _obc_fit_gbz(model: LatticeModel, n_sites: int, pair_tol: float):
         half_gap = np.min(np.abs(w[ok].real))
         tol = 1e-3 * max(np.max(np.abs(w)), 1e-300)
         ok &= np.abs(w.real) >= half_gap - tol
-    betas = np.concatenate([b2[ok], b3[ok]])
-    energies = np.concatenate([w[ok], w[ok]])
+    # at finite N the middle roots straddle the continuum GBZ; report both
+    # arguments at the balanced radius sqrt(|b2| |b3|), each with the cell
+    # energy of H(beta') nearest the chain eigenvalue, an exact root pair
+    radius = np.sqrt(np.abs(b2[ok]) * np.abs(b3[ok]))
+    betas = np.concatenate([radius * np.exp(1j * np.angle(b2[ok])),
+                            radius * np.exp(1j * np.angle(b3[ok]))])
+    target = np.concatenate([w[ok], w[ok]])
+    Es = _cell_energies(model, betas)
+    energies = Es[np.arange(len(betas)), np.argmin(np.abs(Es - target[:, None]), axis=1)]
     return betas, energies, w
 
 
 def _charpoly_gbz(model: LatticeModel, n_theta: int = 120,
                   r_range=(0.02, 50.0), n_r: int = 60):
     """Continuum GBZ by radial bisection of the middle-root-pair modulus
-    balance along rays in the beta plane."""
+    balance along rays in the beta plane.
+
+    Returns the accepted points (betas, energies) and the number of
+    bisected brackets, of which the acceptance filter may reject some."""
     thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
     rs = np.geomspace(r_range[0], r_range[1], n_r)
+    phases = np.exp(1j * thetas)
     # scan the coarse grid one ray at a time: all rays at once would hold
-    # n_theta * n_r * s quartics and their determinant stacks in memory
-    phase, band, lo, hi, glo = [], [], [], [], []
-    for th in thetas:
-        ph = np.exp(1j * th)
-        g, _ = _balance(model, rs * ph)
-        # brackets ordered by band, then by radius
-        b, idx = np.nonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0).T)
-        phase.append(np.full(len(b), ph))
-        band.append(b)
-        lo.append(rs[idx])
-        hi.append(rs[idx + 1])
-        glo.append(g[idx, b])
-    phase, band, lo, hi, glo = map(np.concatenate, (phase, band, lo, hi, glo))
+    # n_theta * n_r * s quartics and their root-finding temporaries in memory
+    g = np.stack([_balance(model, rs * ph)[0] for ph in phases])
+    # brackets ordered by ray, then by band, then by radius
+    ray, band, idx = np.nonzero((np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+                                .transpose(0, 2, 1))
     if len(band) == 0:
-        return np.array([], dtype=complex), np.array([], dtype=complex)
-
-    def g_bracket(r, k):
-        g, _ = _balance(model, r * phase[k])
-        return g[np.arange(len(k)), band[k]]
-
-    r = _bisect(g_bracket, lo, hi, glo, 60)
+        return np.array([], dtype=complex), np.array([], dtype=complex), 0
+    phase = phases[ray]
+    r = _bisect(lambda r, k: _balance(model, r * phase[k], band[k])[0],
+                rs[idx], rs[idx + 1], g[ray, idx, band], 60)
     betas = r * phase
-    energies = np.linalg.eigvals(_cell_hamiltonians(model, betas))[
-        np.arange(len(betas)), band]
+    energies = _cell_energies(model, betas)[np.arange(len(betas)), band]
     roots = _roots_many(charpoly_coefficients(model, energies))
     i, j = _middle_pair_indices(roots.shape[1])
     # keep only genuine balance points where beta is itself a middle root
@@ -262,7 +382,7 @@ def _charpoly_gbz(model: LatticeModel, n_theta: int = 120,
     keep = ((np.abs(np.abs(roots[:, i]) - np.abs(roots[:, j])) < 1e-6 * r)
             & (np.minimum(np.abs(roots[:, i] - betas), np.abs(roots[:, j] - betas))
                < 1e-5 * r))
-    return betas[keep], energies[keep]
+    return betas[keep], energies[keep], len(betas)
 
 
 def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 160,
@@ -280,13 +400,16 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
         raise ValidationError(f"n_sites must be a multiple of {s} and >= {4 * s}")
     if method is GbzMethod.OBC_FIT:
         betas, energies, chain_eigenvalues = _obc_fit_gbz(model, n_sites, pair_tol)
+        brackets = None
     else:
-        betas, energies = _charpoly_gbz(model)
+        betas, energies, found = _charpoly_gbz(model)
         chain_eigenvalues = None
+        brackets = (found - len(betas), found)
     if len(betas) == 0:
         raise ValidationError("no GBZ points found")
     band_pair = _band_pairs(model, betas, energies)
-    out = GBZ(betas, energies, band_pair, method, n_sites, model, chain_eigenvalues)
+    out = GBZ(betas, energies, band_pair, method, n_sites, model, chain_eigenvalues,
+              brackets)
     if cross_check:
         if method is not GbzMethod.OBC_FIT:
             ref = gbz_compute(model, GbzMethod.OBC_FIT, n_sites, pair_tol)
@@ -322,9 +445,11 @@ def _radial_refine_many(model: LatticeModel, betas: np.ndarray,
     n = len(betas)
 
     def g_point(r, k):
-        g, Es = _balance(model, r * phase[k])
+        # solve only the quartic of the band whose energy tracks the paired E
+        b = r * phase[k]
+        Es = _cell_energies(model, b)
         band = np.argmin(np.abs(Es - energies[k, None]), axis=1)
-        return g[np.arange(len(k)), band]
+        return _middle_balance(model, b, Es[np.arange(len(k)), band])
 
     lo, hi = r0 * 0.8, r0 * 1.25
     both = np.arange(n)
@@ -381,14 +506,6 @@ def gbz_touching_point(gbz: GBZ, tol: float | None = None) -> complex:
     if refined is not None:
         return complex(-refined)
     return complex(guess)
-
-
-def _typical_spacing(betas: np.ndarray) -> float:
-    if len(betas) < 2:
-        return np.inf
-    d = np.abs(betas[:, None] - betas[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(np.median(d.min(axis=1)))
 
 
 def skin_direction(gbz: GBZ, tol: float = 1e-3) -> SkinDirection:

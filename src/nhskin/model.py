@@ -121,25 +121,38 @@ def non_bloch_hamiltonian(model: LatticeModel, beta: complex) -> np.ndarray:
 
     ``beta = exp(i k)`` with real ``k`` recovers the Bloch Hamiltonian.
     """
-    beta = complex(beta)
-    if beta == 0:
+    return non_bloch_hamiltonians(model, [complex(beta)])[0]
+
+
+def non_bloch_hamiltonians(model: LatticeModel, betas) -> np.ndarray:
+    """Stack of cell Hamiltonians H(beta), shape (n, s, s), one per beta.
+
+    :func:`non_bloch_hamiltonian` returns element 0 of this builder, so a
+    single matrix and a stacked one are bit-identical.
+    """
+    b = np.atleast_1d(np.asarray(betas, dtype=complex))
+    if np.any(b == 0):
         raise ValidationError("beta must be nonzero (1/beta pole)")
     t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
+    s = model.sites_per_cell
+    H = np.zeros((len(b), s, s), dtype=complex)
     if model.family is Family.GT:
-        return np.array([
-            [0, t4, t2 + t1 / beta, 0],
-            [t3, 0, 0, t1 + t2 / beta],
-            [t2 + t1 * beta, 0, 0, t3],
-            [0, t1 + t2 * beta, t4, 0],
-        ], dtype=complex)
-    if model.family is Family.HATANO_NELSON:
+        H[:, 0, 1] = t4
+        H[:, 0, 2] = t2 + t1 / b
+        H[:, 1, 0] = t3
+        H[:, 1, 3] = t1 + t2 / b
+        H[:, 2, 0] = t2 + t1 * b
+        H[:, 2, 3] = t3
+        H[:, 3, 1] = t1 + t2 * b
+        H[:, 3, 2] = t4
+    elif model.family is Family.HATANO_NELSON:
         # t1 carries amplitude to the left, t2 to the right
-        return np.array([[t1 * beta + t2 / beta]], dtype=complex)
-    d = model.delta
-    return np.array([
-        [0, t1 + d + t2 / beta],
-        [t1 - d + t2 * beta, 0],
-    ], dtype=complex)
+        H[:, 0, 0] = t1 * b + t2 / b
+    else:
+        d = model.delta
+        H[:, 0, 1] = t1 + d + t2 / b
+        H[:, 1, 0] = t1 - d + t2 * b
+    return H
 
 
 def _hopping_blocks(model: LatticeModel):

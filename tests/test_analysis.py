@@ -200,3 +200,12 @@ def test_growth_rate_rejects_bad_window(field_a):
     tr = energy_trace(field_a)
     with pytest.raises(ValidationError):
         growth_rate(tr, fit_fraction=0.0)
+
+
+def test_hermitian_gap_matches_per_k_sweep():
+    from nhskin import bloch_hamiltonian
+    from nhskin.analysis import _hermitian_gap
+    m = make_model(Family.GT, 1.0, 2.0, 3.0, 3.0, n_cells=25)
+    ks = np.linspace(-np.pi, np.pi, 401)
+    e0 = min(np.min(np.abs(np.linalg.eigvalsh(bloch_hamiltonian(m, k)))) for k in ks)
+    assert _hermitian_gap(m) == 2 * float(e0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,20 @@ def test_gbz_preset_both_formats(tmp_path, capsys):
     assert "direction = Left" in capsys.readouterr().out
     assert (tmp_path / "gbz.csv").exists()
     assert (tmp_path / "gbz.svg").exists()
+
+
+def test_gbz_charpoly_reports_rejected_brackets(tmp_path, capsys):
+    cfg = _write(tmp_path, "cp.cfg", "[gbz]\nmethod = charpoly\n")
+    assert main(["gbz", "--preset", "fig4e", "--config", cfg,
+                 "--out", str(tmp_path / "cp")]) == 0
+    out = capsys.readouterr().out
+    m = re.search(r"gbz: (\d+) points, .*\((\d+) of (\d+) brackets rejected\)$",
+                  out.strip())
+    assert m, out
+    points, rejected, found = map(int, m.groups())
+    assert points + rejected == found
+    assert main(["gbz", "--preset", "fig4e", "--out", str(tmp_path / "fit")]) == 0
+    assert "brackets" not in capsys.readouterr().out
 
 
 def test_evolve_writes_artifacts(tmp_path):

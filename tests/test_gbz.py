@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     Family, GbzMethod, NoTouchingPointError, SymmetryOp,
                     ValidationError, apply_symmetry, charpoly_beta_roots,
                     gap_report, gbz_compute, gbz_touching_point, make_model,
-                    non_bloch_hamiltonian, skin_direction)
+                    non_bloch_hamiltonian, real_space_hamiltonian, skin_direction)
 from nhskin import gbz as gbz_mod
-from nhskin.gbz import (_bisect, _charpoly_gbz, _middle_pair_indices,
-                        _roots_many, charpoly_coefficients)
+from nhskin.gbz import (_bisect, _charpoly_gbz, _charpoly_table, _middle_pair_indices,
+                        _radial_refine_many, _roots_many, charpoly_coefficients)
+from nhskin.model import non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
@@ -131,7 +134,7 @@ def _charpoly_gbz_per_ray(model, n_theta, r_range=(0.02, 50.0), n_r=60):
 ])
 def test_batched_charpoly_gbz_matches_per_ray_bisection(family, hops):
     m = make_model(family, *hops, n_cells=10)
-    betas, energies = _charpoly_gbz(m, n_theta=12)
+    betas, energies, _ = _charpoly_gbz(m, n_theta=12)
     ref_b, ref_e = _charpoly_gbz_per_ray(m, n_theta=12)
     assert len(betas) == len(ref_b) > 0
     np.testing.assert_allclose(betas, ref_b, rtol=1e-12, atol=0)
@@ -191,12 +194,33 @@ def test_cross_check_reports_how_many_points_were_bracketed(model_b, monkeypatch
         gbz_compute(m, cross_check=True)
 
 
-@pytest.mark.xfail(strict=True, raises=CrossValidationError,
-                   reason="known defect: on phase A (fig4a) the fitted and continuum "
-                          "GBZ radii differ by 0.0033 at the 90th percentile, above "
-                          "the 1e-3 cross-check bound (ROADMAP item 3)")
 def test_phase_a_methods_cross_validate(model_a):
     gbz_compute(model_a, cross_check=True)
+
+
+def test_balanced_radius_beats_both_middle_roots(model_a):
+    # at finite N the middle roots b2, b3 of a chain eigenvalue straddle the
+    # continuum GBZ; obc_fit reports sqrt(|b2| |b3|) instead
+    m = model_a.with_(gamma=0.0, n_cells=40)
+    w = np.linalg.eigvals(real_space_hamiltonian(m))
+    roots = _roots_many(charpoly_coefficients(m, w))
+    b2, b3 = roots[:, 1], roots[:, 2]
+    paired = np.nonzero(np.abs(np.abs(b2) - np.abs(b3)) < 1e-2 * np.abs(b2))[0]
+    k = np.random.default_rng(0).choice(paired, 48, replace=False)
+    balanced = np.sqrt(np.abs(b2[k]) * np.abs(b3[k]))
+    for member in (b2[k], b3[k]):
+        ref = _radial_refine_many(m, member, w[k])
+        found = ~np.isnan(ref)
+        assert found.sum() >= 40
+
+        def q90(r):
+            return np.quantile(np.abs(r[found] - ref[found]) / ref[found], 0.9)
+        assert q90(balanced) < 0.5 * q90(np.abs(member))
+    g = gbz_compute(model_a.with_(gamma=0.0))
+    # every reported (beta', E') is still an exact root pair
+    s = np.linalg.svd(non_bloch_hamiltonians(m, g.betas) - g.energies[:, None, None]
+                      * np.eye(4), compute_uv=False)
+    assert np.max(s[:, -1] / s[:, 0]) < 1e-12
 
 
 def test_skin_direction_examples():
@@ -267,3 +291,141 @@ def test_direction_rule_property(t3, t4):
     m = make_model(Family.GT, 1, 2, t3, t4, n_cells=30)
     d = skin_direction(gbz_compute(m, n_sites=120)).direction
     assert d is (Direction.LEFT if t3 > t4 else Direction.RIGHT)
+
+
+FAMILIES = [(Family.GT, (2.1, 14.9, 11.2, 3.7)),
+            (Family.HATANO_NELSON, (2.5, 0.9, 1, 1)),
+            (Family.NH_SSH, (1.0, 2.0, 1, 1))]
+
+
+@pytest.mark.parametrize("family,hops", FAMILIES)
+def test_charpoly_table_matches_determinant(family, hops, rng):
+    m = make_model(family, *hops)
+    c = _charpoly_table(m)
+    p_inv = (c.shape[0] - 1) // 2
+    s = m.sites_per_cell
+    for _ in range(100):
+        beta = 10 ** rng.uniform(-1.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        E = 30 * complex(rng.normal(), rng.normal())
+        det = beta ** p_inv * np.linalg.det(non_bloch_hamiltonian(m, beta) - E * np.eye(s))
+        terms = c * beta ** np.arange(c.shape[0])[:, None] * E ** np.arange(c.shape[1])
+        assert abs(det - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+        by_power = c * E ** np.arange(c.shape[1])
+        np.testing.assert_allclose(charpoly_coefficients(m, E)[0], by_power.sum(axis=1),
+                                   rtol=0, atol=1e-13 * np.abs(by_power).sum())
+
+
+def test_non_bloch_hamiltonian_is_element_zero_of_the_stack(model_a, rng):
+    betas = np.exp(rng.normal(size=50) + 2j * np.pi * rng.uniform(size=50))
+    for family, hops in FAMILIES:
+        m = make_model(family, *hops)
+        stack = non_bloch_hamiltonians(m, betas)
+        for b, H in zip(betas, stack):
+            assert np.array_equal(non_bloch_hamiltonian(m, b), H)
+    with pytest.raises(ValidationError):
+        non_bloch_hamiltonians(model_a, [1.0, 0.0])
+
+
+def _companion_roots(coeffs):
+    """Oracle: eigenvalues of stacked companion matrices, sorted like
+    _roots_many (ascending modulus, ties by argument)."""
+    n, d1 = coeffs.shape
+    d = d1 - 1
+    comp = np.zeros((n, d, d), dtype=complex)
+    comp[:, 0, :] = -(coeffs / coeffs[:, -1:])[:, :-1][:, ::-1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    roots = np.linalg.eigvals(comp)
+    order = np.lexsort((np.angle(roots), np.abs(roots)), axis=1)
+    return np.take_along_axis(roots, order, axis=1)
+
+
+def _scaled_residual(coeffs, roots):
+    """|P(x)| / sum |c_k| |x|^k per root: the backward error of each root."""
+    powers = roots[:, :, None] ** np.arange(coeffs.shape[1])
+    value = np.einsum("nk,nrk->nr", coeffs, powers)
+    return np.abs(value) / np.einsum("nk,nrk->nr", np.abs(coeffs), np.abs(powers))
+
+
+def _from_roots(roots):
+    return np.stack([np.poly(r)[::-1] for r in roots]).astype(complex)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_closed_form_roots_match_companion_eigenvalues(degree, rng):
+    n = 2000
+    random = rng.normal(size=(n, degree + 1)) + 1j * rng.normal(size=(n, degree + 1))
+    true = (10.0 ** rng.uniform(-3, 3, size=(n, degree))
+            * np.exp(2j * np.pi * rng.uniform(size=(n, degree))))
+    wide = _from_roots(true)
+    near = rng.normal(size=(n, degree)) + 1j * rng.normal(size=(n, degree))
+    near[:, 1] = near[:, 0] * (1 + 1e-7 * rng.normal(size=n))
+    near_double = _from_roots(near)
+    for coeffs in (random, wide, near_double):
+        roots = _roots_many(coeffs)
+        assert _scaled_residual(coeffs, roots).max() < 1e-14
+        assert np.all(np.diff(np.abs(roots), axis=1) >= 0)
+    # well-separated roots: same roots in the same sorted order as the oracle
+    ref = _companion_roots(random)
+    assert np.max(np.abs(_roots_many(random) - ref) / np.abs(ref)) < 1e-10
+    order = np.lexsort((np.angle(true), np.abs(true)), axis=1)
+    true = np.take_along_axis(true, order, axis=1)
+    assert np.max(np.abs(_roots_many(wide) - true) / np.abs(true)) < 1e-12
+    # a root pair split by 1e-7 is resolved to about sqrt(eps), like the oracle
+    got, ref = _roots_many(near_double), _companion_roots(near_double)
+    assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(ref))
+                  / np.abs(np.sort_complex(ref))) < 1e-6
+
+
+def test_closed_form_roots_of_degenerate_polynomials_raise_no_warning():
+    cases = {(16, -32, 24, -8, 1): [2, 2, 2, 2],           # (x - 2)^4
+             (-1, 0, 0, 0, 1): [-1j, 1, 1j, -1],           # x^4 - 1
+             (1, 0, 2, 0, 1): [-1j, -1j, 1j, 1j],          # (x^2 + 1)^2
+             (1, 0, -2, 0, 1): [-1, 1, 1, -1],             # (x^2 - 1)^2
+             (1, 2, 1): [-1, -1],
+             (2, 1): [-2]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for poly, want in cases.items():
+            got = _roots_many(np.array([poly], dtype=complex))[0]
+            np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want),
+                                       atol=1e-3 if len(poly) == 5 else 1e-12)
+    with pytest.raises(ValueError):
+        _roots_many(np.ones((1, 4), dtype=complex))
+
+
+def _det_fft_coefficients(model, E):
+    """Oracle: coefficients of beta^p det(H(beta) - E) recovered by an FFT of
+    determinants at the (d+1)-th roots of unity."""
+    E = np.atleast_1d(np.asarray(E, dtype=complex))
+    p = {Family.GT: 2, Family.HATANO_NELSON: 1, Family.NH_SSH: 1}[model.family]
+    omega = np.exp(2j * np.pi * np.arange(2 * p + 1) / (2 * p + 1))
+    Hs = np.stack([non_bloch_hamiltonian(model, w) for w in omega])
+    eye = np.eye(model.sites_per_cell)
+    f = omega ** p * np.linalg.det(Hs[None] - E[:, None, None, None] * eye)
+    return np.fft.fft(f, axis=1) / (2 * p + 1)
+
+
+@pytest.mark.parametrize("hops", [(2.1, 14.9, 11.2, 3.7),    # fig4a
+                                  (3.2, 6.7, 22.6, 8.4),     # fig4e
+                                  (2.1, 14.9, 12.6, 8.9)])   # fig4i
+def test_charpoly_gbz_matches_det_fft_companion_path(hops, monkeypatch):
+    m = make_model(Family.GT, *hops, n_cells=10)
+    betas, energies, _ = _charpoly_gbz(m, n_theta=40)
+    monkeypatch.setattr(gbz_mod, "charpoly_coefficients", _det_fft_coefficients)
+    monkeypatch.setattr(gbz_mod, "_roots_many", _companion_roots)
+    ref_b, ref_e, _ = _charpoly_gbz(m, n_theta=40)
+
+    # Real-axis points are left out: there the zero of the balance is a tie
+    # of three root moduli (theta = 0) or sits at the touching point, where
+    # H(beta) has a double eigenvalue (theta = pi), so rounding decides
+    # whether beta sorts into the middle pair and moves E by ~sqrt(eps).
+    def off_axis(b, e):
+        keep = np.abs(b.imag) > 1e-9 * np.abs(b)
+        return b[keep], e[keep] ** 2
+
+    (b1, e1), (b2, e2) = off_axis(betas, energies), off_axis(ref_b, ref_e)
+    assert len(b1) == len(b2) > 100
+    for (xb, xe), (yb, ye) in (((b1, e1), (b2, e2)), ((b2, e2), (b1, e1))):
+        d = (np.abs(xb[:, None] - yb) / np.abs(xb[:, None])
+             + np.abs(xe[:, None] - ye) / np.abs(xe[:, None]))
+        assert d.min(axis=1).max() < 1e-10
