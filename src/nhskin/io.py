@@ -54,9 +54,20 @@ def _repeat(fields: list[str], n: int) -> list[str]:
 
 
 def _write_rows(fh, columns) -> None:
-    """Write equal-length columns of field strings as ``\\r\\n`` CSV rows."""
-    row = ",".join(["%s"] * len(columns)) + "\r\n"
-    fh.writelines(map(row.__mod__, zip(*columns)))
+    """Write equal-length columns as ``\\r\\n`` CSV rows.
+
+    A float ``ndarray`` column takes the 17-digit format; any other column
+    is a list of field strings.  Each block of up to ``_BLOCK_ROWS`` rows is
+    formatted by one ``%`` on the row template repeated once per row."""
+    row = ",".join(FLOAT_FMT if isinstance(c, np.ndarray) else "%s"
+                   for c in columns) + "\r\n"
+    n = len(columns[0])
+    for i in range(0, n, _BLOCK_ROWS):
+        k = min(_BLOCK_ROWS, n - i)
+        fields = np.empty((k, len(columns)), dtype=object)
+        for j, c in enumerate(columns):
+            fields[:, j] = c[i:i + k]
+        fh.write((row * k) % tuple(fields.ravel().tolist()))
 
 
 def _write_table(path, header, blocks) -> None:
@@ -65,6 +76,11 @@ def _write_table(path, header, blocks) -> None:
         _write_rows(fh, [[_text(h)] for h in header])
         for columns in blocks:
             _write_rows(fh, columns)
+
+
+def _column(values) -> np.ndarray:
+    """A float array (any shape, C order) as one flat float column."""
+    return np.asarray(values, dtype=float).ravel()
 
 
 def _grid_blocks(outer, inner: list[str], *values):
@@ -79,7 +95,7 @@ def _grid_blocks(outer, inner: list[str], *values):
     for i in range(0, len(outer), step):
         head = outer[i:i + step]
         yield [_repeat(head, len(inner)), inner * len(head),
-               *(_floats(v[i:i + step]) for v in values)]
+               *(_column(v[i:i + step]) for v in values)]
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -101,14 +117,14 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 def write_spectrum_csv(path, spectrum) -> None:
     E = spectrum.eigenvalues
     _write_table(path, ["index", "Re_E", "Im_E"],
-                 [[list(map(str, range(len(E)))), _floats(E.real), _floats(E.imag)]])
+                 [[list(map(str, range(len(E)))), _column(E.real), _column(E.imag)]])
 
 
 def write_gbz_csv(path, gbz) -> None:
     _write_table(path, ["band_pair", "Re_beta", "Im_beta", "Re_E", "Im_E"],
                  [[[str(int(p)) for p in gbz.band_pair],
-                   _floats(gbz.betas.real), _floats(gbz.betas.imag),
-                   _floats(gbz.energies.real), _floats(gbz.energies.imag)]])
+                   _column(gbz.betas.real), _column(gbz.betas.imag),
+                   _column(gbz.energies.real), _column(gbz.energies.imag)]])
 
 
 def write_wavefield_csv(path, field) -> None:
@@ -129,7 +145,7 @@ def read_wavefield_npz(path):
 
 
 def write_energy_csv(path, trace) -> None:
-    _write_table(path, ["time", "P"], [[_floats(trace.times), _floats(trace.P)]])
+    _write_table(path, ["time", "P"], [[_column(trace.times), _column(trace.P)]])
 
 
 def write_spectrogram_csv(path, spectrogram) -> None:
@@ -143,7 +159,7 @@ def write_phase_diagram_csv(path, diagram) -> None:
     _write_table(path, ["t3", "t4", "label", "max_im"],
                  [[t3 * len(t4), _repeat(t4, len(t3)),
                    [lab.label.value for lab in diagram.labels.ravel()],
-                   _floats(diagram.im_magnitude)]])
+                   _column(diagram.im_magnitude)]])
 
 
 def write_coefficients_csv(path, times, coefficients) -> None:

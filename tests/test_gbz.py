@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     Family, GbzMethod, NoTouchingPointError, SymmetryOp,
@@ -11,7 +12,8 @@ from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     gap_report, gbz_compute, gbz_touching_point, make_model,
                     non_bloch_hamiltonian, real_space_hamiltonian, skin_direction)
 from nhskin import gbz as gbz_mod
-from nhskin.gbz import (_bisect, _charpoly_gbz, _charpoly_table, _middle_pair_indices,
+from nhskin.gbz import (_bisect, _cell_energies, _cell_energy_sets, _chain_eigenvalues,
+                        _charpoly_gbz, _charpoly_table, _fit_chain, _middle_pair_indices,
                         _radial_refine_many, _roots_many, charpoly_coefficients)
 from nhskin.model import non_bloch_hamiltonians
 
@@ -198,6 +200,14 @@ def test_phase_a_methods_cross_validate(model_a):
     gbz_compute(model_a, cross_check=True)
 
 
+@pytest.mark.parametrize("n_sites", [80, 160, 320])
+@pytest.mark.parametrize("phase", ["model_a", "model_b", "model_c"])
+def test_cross_check_passes_as_the_chain_grows(phase, n_sites, request):
+    # passing at each size, not a monotone fall: the 90th-percentile error
+    # of one middle root is 1.8e-3 at 80 sites and 3.4e-3 at 160 on fig4a
+    gbz_compute(request.getfixturevalue(phase), n_sites=n_sites, cross_check=True)
+
+
 def test_balanced_radius_beats_both_middle_roots(model_a):
     # at finite N the middle roots b2, b3 of a chain eigenvalue straddle the
     # continuum GBZ; obc_fit reports sqrt(|b2| |b3|) instead
@@ -258,6 +268,7 @@ def test_gap_report_phase_b_gapless(model_b):
 def test_gap_report_phase_c_real(model_c):
     rep = gap_report(model_c.with_(gamma=0.0))
     assert rep.is_real_spectrum
+    assert rep.max_abs_im == 0.0   # real arithmetic keeps real eigenvalues real
     assert rep.line_gap_width > 0
 
 
@@ -313,6 +324,42 @@ def test_charpoly_table_matches_determinant(family, hops, rng):
         by_power = c * E ** np.arange(c.shape[1])
         np.testing.assert_allclose(charpoly_coefficients(m, E)[0], by_power.sum(axis=1),
                                    rtol=0, atol=1e-13 * np.abs(by_power).sum())
+
+
+def _matched_error(a, b):
+    """Largest distance between the multisets ``a`` and ``b`` under the
+    optimal one-to-one matching."""
+    d = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(d)
+    return d[rows, cols].max()
+
+
+@pytest.mark.parametrize("family,hops", FAMILIES)
+def test_cell_energy_sets_match_lapack_eigenvalues(family, hops, rng):
+    m = make_model(family, *hops)
+    betas = np.concatenate([
+        10 ** rng.uniform(-2, 2, 200) * np.exp(2j * np.pi * rng.uniform(size=200)),
+        np.exp(2j * np.pi * rng.uniform(size=50)),   # |beta| = 1
+        [-0.450329]])                                # fig4a touching point
+    closed, lapack = _cell_energy_sets(m, betas), _cell_energies(m, betas)
+    assert closed.shape == lapack.shape
+    for a, b in zip(closed, lapack):
+        assert _matched_error(a, b) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("family,hops", FAMILIES)
+def test_chain_eigenvalues_in_real_arithmetic_match_complex(family, hops, monkeypatch):
+    # 40 sites: longer non-normal chains amplify rounding far beyond 1e-10,
+    # so two solvers of the same chain no longer agree to that level
+    m = make_model(family, *hops)
+    eigvals = np.linalg.eigvals
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
+    w = _chain_eigenvalues(m, 40)
+    assert len(solved) == 1 and np.isrealobj(solved[0])
+    ref = eigvals(real_space_hamiltonian(_fit_chain(m, 40)))
+    assert w.dtype == complex
+    assert _matched_error(w, ref) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_non_bloch_hamiltonian_is_element_zero_of_the_stack(model_a, rng):

@@ -67,13 +67,26 @@ def _oracle_csv(header, rows) -> bytes:
 
 
 def _awkward_floats(rng, shape):
-    """Random floats over many magnitudes, with signed zeros and extremes."""
+    """Random floats over many magnitudes, with signed zeros, extremes and
+    non-finite values."""
     x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     flat = x.reshape(-1)
     flat[::7] = -0.0
     flat[3::11] = 1.0 / 3.0
     flat[5::13] = np.finfo(float).tiny
+    flat[6::17] = np.nan
+    flat[8::19] = -np.inf
+    flat[9::23] = np.inf
     return x
+
+
+def _awkward_complex(rng, shape):
+    """Complex values with awkward real and imaginary parts (built without
+    arithmetic, which would turn an infinite part into NaNs)."""
+    z = np.empty(shape, dtype=complex)
+    z.real = _awkward_floats(rng, shape)
+    z.imag = _awkward_floats(rng, shape)
+    return z
 
 
 @pytest.mark.parametrize("n_outer, n_inner, block", [
@@ -89,8 +102,7 @@ def test_grid_writers_match_row_oracle(tmp_path, monkeypatch, n_outer,
     rng = np.random.default_rng(n_outer * 100 + n_inner)
     outer = _awkward_floats(rng, n_outer)
     inner = _awkward_floats(rng, n_inner)
-    A = _awkward_floats(rng, (n_outer, n_inner)) \
-        + 1j * _awkward_floats(rng, (n_outer, n_inner))
+    A = _awkward_complex(rng, (n_outer, n_inner))
 
     write_wavefield_csv(tmp_path / "w.csv",
                         SimpleNamespace(times=outer, amplitudes=A))
@@ -115,11 +127,14 @@ def test_grid_writers_match_row_oracle(tmp_path, monkeypatch, n_outer,
          for i, f in enumerate(outer) for j, t in enumerate(inner)))
 
 
-def test_flat_writers_match_row_oracle(tmp_path):
+@pytest.mark.parametrize("block", [None, 5])   # None: one block per table
+def test_flat_writers_match_row_oracle(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(nio, "_BLOCK_ROWS", block)
     rng = np.random.default_rng(7)
     n = 23
-    z = _awkward_floats(rng, n) + 1j * _awkward_floats(rng, n)
-    w = _awkward_floats(rng, n) + 1j * _awkward_floats(rng, n)
+    z = _awkward_complex(rng, n)
+    w = _awkward_complex(rng, n)
 
     write_spectrum_csv(tmp_path / "spectrum.csv", SimpleNamespace(eigenvalues=z))
     assert (tmp_path / "spectrum.csv").read_bytes() == _oracle_csv(
@@ -156,17 +171,17 @@ def test_flat_writers_match_row_oracle(tmp_path):
 def test_write_csv_mixed_fields_match_row_oracle(tmp_path):
     rows = [(np.float64(0.1), 3, "plain", None),
             (-0.0, np.int64(-2), 'has "quotes"', "a,b"),
-            (1e300, True, "two\nlines", "")]
-    write_csv(tmp_path / "mixed.csv", ["x", "n", "text", "note"], rows)
-    assert (tmp_path / "mixed.csv").read_bytes() == _oracle_csv(
-        ["x", "n", "text", "note"], rows)
+            (1e300, True, "two\nlines", ""),
+            (np.nan, -np.inf, "%s %d", "100%")]
+    header = ["x", "n, count", 'say "text"', "note"]
+    write_csv(tmp_path / "mixed.csv", header, rows)
+    assert (tmp_path / "mixed.csv").read_bytes() == _oracle_csv(header, rows)
 
 
 def test_wavefield_npz_roundtrip_is_exact_and_stored(tmp_path):
     rng = np.random.default_rng(3)
     field = SimpleNamespace(times=np.linspace(0.0, 1.0, 11),
-                            amplitudes=_awkward_floats(rng, (11, 8))
-                            + 1j * _awkward_floats(rng, (11, 8)))
+                            amplitudes=_awkward_complex(rng, (11, 8)))
     path = tmp_path / "wavefield.npz"
     write_wavefield_npz(path, field)
     times, amps = read_wavefield_npz(path)
