@@ -1,12 +1,13 @@
 """CSV/SVG emitters, readers, and the plain-text run-configuration parser.
 
 CSV uses 17-significant-digit decimals so that every float round-trips
-bit-exactly.  Every CSV writer goes through one column core: each float
-column is formatted in one pass over ``ndarray.tolist()`` and rows are
-joined with a single ``%s,...,%s\r\n`` template, giving the bytes
-``csv.writer`` would.  Grid-shaped outputs (wavefields, coefficients,
-spectrograms) format their outer value once, tile their inner labels,
-and stream in blocks of about 16k rows so memory stays flat.
+bit-exactly.  Every CSV writer goes through one column core: a block of
+rows is formatted by one ``%`` on the row template repeated once per row,
+with the 17-digit format for float columns and ``%s`` for string ones,
+giving the bytes ``csv.writer`` would.  Grid-shaped outputs (wavefields,
+coefficients, spectrograms) format their outer value once and tile their
+inner labels.  Every table is formatted and written in blocks of about
+16k rows so memory stays flat.
 Wavefield ``.npz`` files are stored uncompressed, because ``zlib`` saves
 only about 3% on these complex arrays.
 SVG output is generated directly (no plotting dependency).
@@ -27,8 +28,8 @@ from .errors import ConfigError, ValidationError
 from .model import BC, Family, LatticeModel, make_model
 
 FLOAT_FMT = "%.17g"
-#: Rows the grid writers format and write at a time, so that the strings
-#: held in memory stay bounded however large the array is.
+#: Rows the writers format and write at a time, so that the strings held
+#: in memory stay bounded however large the array is.
 _BLOCK_ROWS = 16384
 
 

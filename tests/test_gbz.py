@@ -196,10 +196,6 @@ def test_cross_check_reports_how_many_points_were_bracketed(model_b, monkeypatch
         gbz_compute(m, cross_check=True)
 
 
-def test_phase_a_methods_cross_validate(model_a):
-    gbz_compute(model_a, cross_check=True)
-
-
 @pytest.mark.parametrize("n_sites", [80, 160, 320])
 @pytest.mark.parametrize("phase", ["model_a", "model_b", "model_c"])
 def test_cross_check_passes_as_the_chain_grows(phase, n_sites, request):

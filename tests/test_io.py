@@ -127,11 +127,7 @@ def test_grid_writers_match_row_oracle(tmp_path, monkeypatch, n_outer,
          for i, f in enumerate(outer) for j, t in enumerate(inner)))
 
 
-@pytest.mark.parametrize("block", [None, 5])   # None: one block per table
-def test_flat_writers_match_row_oracle(tmp_path, monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(nio, "_BLOCK_ROWS", block)
-    rng = np.random.default_rng(7)
+def _check_flat_writers(tmp_path, rng):
     n = 23
     z = _awkward_complex(rng, n)
     w = _awkward_complex(rng, n)
@@ -166,6 +162,13 @@ def test_flat_writers_match_row_oracle(tmp_path, monkeypatch, block):
         ["t3", "t4", "label", "max_im"],
         ((float(a), float(b), labels[i4, i3].label.value, float(im[i4, i3]))
          for i4, b in enumerate(t4) for i3, a in enumerate(t3)))
+
+
+def test_flat_writers_match_row_oracle(tmp_path, monkeypatch):
+    # one block per table, then rows split over several blocks
+    for block in (nio._BLOCK_ROWS, 5):
+        monkeypatch.setattr(nio, "_BLOCK_ROWS", block)
+        _check_flat_writers(tmp_path, np.random.default_rng(7))
 
 
 def test_write_csv_mixed_fields_match_row_oracle(tmp_path):
