@@ -572,9 +572,9 @@ def gap_report(model: LatticeModel, tol_im: float | None = None,
     uniform damping removed.  When ``gbz`` was fitted on that same chain,
     its eigenvalues are reused instead of diagonalizing the chain again.
     """
+    chain = _fit_chain(model, model.n_sites)
     if (gbz is not None and gbz.chain_eigenvalues is not None
-            and _fit_chain(gbz.model, gbz.n_sites_used)
-            == _fit_chain(model, model.n_sites)):
+            and _fit_chain(gbz.model, gbz.n_sites_used) == chain):
         eigs0 = gbz.chain_eigenvalues
     else:
         # only eigenvalues are needed here; skip the eigenvector conditioning
