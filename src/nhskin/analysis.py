@@ -19,8 +19,7 @@ from .dynamics import EnergyTrace, WaveField, default_time_grid, energy_trace, e
 from .errors import ValidationError
 from .gbz import (GBZ, Direction, GapReport, GbzMethod, SkinDirection,
                   gap_report, gbz_compute, skin_direction)
-from .model import (BC, Family, LatticeModel, make_model, non_bloch_hamiltonian,
-                    non_bloch_hamiltonians)
+from .model import BC, Family, LatticeModel, make_model, non_bloch_hamiltonians
 from .spectral import Spectrum, eig_biorthogonal, obc_spectrum
 
 
@@ -57,28 +56,25 @@ class PhaseLabel:
 
 @dataclass(frozen=True)
 class GbzProjection:
-    """Laplace-transform coefficients C[time, gbz_point, mode]."""
+    """Laplace-transform coefficients C[time, gbz_point, mode], with the cell
+    energies E[gbz_point, mode] of the modes in the same column order."""
 
     times: np.ndarray
     coefficients: np.ndarray
     normalized: bool
     gbz: GBZ
+    cell_energies: np.ndarray
 
     def band_pair_magnitude(self) -> np.ndarray:
-        """One magnitude per GBZ point: root-sum-square of |C| over the two
-        modes forming the symmetry pair {E, -conj(E)} of the point's energy."""
-        T, P, s = self.coefficients.shape
-        out = np.zeros((T, P))
-        for p in range(P):
-            E = self.gbz.energies[p]
-            w = np.linalg.eigvals(
-                non_bloch_hamiltonian(self.gbz.model, self.gbz.betas[p]))
-            j1 = int(np.argmin(np.abs(w - E)))
-            j2 = int(np.argmin(np.abs(w - (-np.conj(E)))))
-            idx = [j1, j2] if j1 != j2 else [j1]
-            out[:, p] = np.sqrt(
-                np.sum(np.abs(self.coefficients[:, p, idx]) ** 2, axis=1))
-        return out
+        """One magnitude per GBZ point: root-sum-square of |C| over the mode
+        of the point's energy E and the mode nearest -conj(E), its partner
+        in the symmetry pair."""
+        E = self.gbz.energies[:, None]
+        w = self.cell_energies
+        pick = np.zeros(w.shape, dtype=bool)
+        for target in (E, -np.conj(E)):
+            pick[np.arange(len(w)), np.argmin(np.abs(w - target), axis=1)] = True
+        return np.sqrt(np.sum(np.abs(self.coefficients) ** 2 * pick, axis=2))
 
 
 @dataclass(frozen=True)
@@ -156,16 +152,18 @@ def laplace_projection(field: WaveField, gbz: GBZ, normalized: bool = True) -> G
     psi = field.amplitudes.reshape(len(field.times), N, s)
     x = np.arange(1, N + 1)
     C = np.empty((len(field.times), len(gbz.betas), s), dtype=complex)
+    W = np.empty((len(gbz.betas), s), dtype=complex)
     cells = non_bloch_hamiltonians(gbz.model, gbz.betas)
     for p, beta in enumerate(gbz.betas):
         weights = beta ** (-x.astype(float))
         Psi = np.tensordot(psi, weights, axes=([1], [0]))   # (T, s)
         cell = eig_biorthogonal(cells[p])
         C[:, p, :] = Psi @ cell.left_vectors.conj()
+        W[p] = cell.eigenvalues
     if normalized:
         peak = np.max(np.abs(C), axis=(1, 2), keepdims=True)
         C = C / np.where(peak > 0, peak, 1.0)
-    return GbzProjection(field.times, C, normalized, gbz)
+    return GbzProjection(field.times, C, normalized, gbz, W)
 
 
 def obc_decomposition(field: WaveField, spectrum: Spectrum | None = None) -> ModeDecomposition:

@@ -6,10 +6,11 @@ Two independent GBZ constructions are provided:
   eigenvalue E, the middle-modulus pair of characteristic roots beta
   (the pair that must degenerate in modulus in the thermodynamic limit),
   reported at their balanced radius.
-* ``charpoly`` never diagonalizes the chain: along each ray beta = r e^{i theta}
-  it bisects for the radius at which the middle root pair of the
-  characteristic polynomial has equal modulus.  The brackets of all rays
-  and bands are bisected together, one batched balance evaluation per step.
+* ``charpoly`` never diagonalizes anything: along each ray beta = r e^{i theta}
+  it bisects, for each closed-form E^2 branch of H(beta), for the radius at
+  which the middle root pair of the characteristic polynomial has equal
+  modulus, and reports each point with both energies +-E.  The brackets of
+  all rays and branches are bisected together, one batched balance per step.
 
 Both read the characteristic polynomial beta^p det(H(beta) - E) from an exact
 table of its bivariate coefficients and solve it for beta in closed form
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
-from .model import BC, Family, LatticeModel, non_bloch_hamiltonians, real_space_hamiltonian
+from .model import BC, Family, LatticeModel, real_space_hamiltonian
 
 
 class GbzMethod(str, Enum):
@@ -55,7 +56,8 @@ class GBZ:
     ``chain_eigenvalues`` holds every OBC eigenvalue of the fitted chain
     (``obc_fit`` only), which :func:`gap_report` reuses for that chain.
     ``brackets`` is (rejected, found) for the bisection brackets of
-    ``charpoly``, whose acceptance filter drops band-crossing artifacts."""
+    ``charpoly``, counted once per energy sign; its acceptance filter drops
+    band-crossing artifacts."""
 
     betas: np.ndarray
     energies: np.ndarray
@@ -247,25 +249,17 @@ def _middle_pair_indices(d: int):
     return d // 2 - 1, d // 2
 
 
-def _cell_energies(model: LatticeModel, betas) -> np.ndarray:
-    """Eigenvalues of H(beta) per beta, shape (n, s), in LAPACK order: the
-    column is the band label that brackets follow along a ray.
-
-    Only :func:`_balance` and :func:`_charpoly_gbz` read that order; every
-    other caller takes :func:`_cell_energy_sets`."""
-    return np.linalg.eigvals(non_bloch_hamiltonians(model, betas))
-
-
-def _cell_energy_sets(model: LatticeModel, betas) -> np.ndarray:
-    """Eigenvalues of H(beta) per beta, shape (n, s), in closed form; the
-    columns carry no band label.
+def _branch_energies(model: LatticeModel, betas) -> np.ndarray:
+    """One energy per E^2 branch of H(beta), shape (n, b), in closed form.
 
     The chiral families have det(H - E) = det(E^2 - C D) with the chiral
-    blocks C, D of H, so E = +-sqrt(E^2).  For NH-SSH C D is a number.  For
-    the double chain C D has equal diagonal entries m and off-diagonal
-    product u^2 / beta, so E^2 = m +- u / sqrt(beta).  Near the touching
-    point u vanishes; the quadratic formula on the charpoly table would
-    recover the split of the near-double E^2 from a cancelling discriminant.
+    blocks C, D of H, so their spectrum is +-E over the branches.  For NH-SSH
+    C D is a number.  For the double chain C D has equal diagonal entries m
+    and off-diagonal product u^2 / beta, so E^2 = m +- u / sqrt(beta); this
+    keeps the split of the near-double E^2 near the touching point (u -> 0),
+    which the quadratic formula on the charpoly table would cancel away.
+    Each column is analytic along a ray of fixed arg(beta), so it is the
+    label that a bisection bracket follows.  Hatano-Nelson has one band.
     """
     b = np.atleast_1d(np.asarray(betas, dtype=complex))
     t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
@@ -274,11 +268,16 @@ def _cell_energy_sets(model: LatticeModel, betas) -> np.ndarray:
     if model.family is Family.GT:
         m = t3 * t4 + (t2 + t1 / b) * (t2 + t1 * b)
         u = (t1 * t3 + t2 * t4 + (t1 * t4 + t2 * t3) * b) / np.sqrt(b)
-        e = np.sqrt(np.stack([m + u, m - u], axis=1))
-    else:
-        d = model.delta
-        e = np.sqrt((t1 + d + t2 / b) * (t1 - d + t2 * b))[:, None]
-    return np.concatenate([e, -e], axis=1)
+        return np.sqrt(np.stack([m + u, m - u], axis=1))
+    d = model.delta
+    return np.sqrt((t1 + d + t2 / b) * (t1 - d + t2 * b))[:, None]
+
+
+def _cell_energy_sets(model: LatticeModel, betas) -> np.ndarray:
+    """Eigenvalues of H(beta) per beta, shape (n, s), in closed form: the
+    branch energies and, for the chiral families, their negatives."""
+    e = _branch_energies(model, betas)
+    return e if model.family is Family.HATANO_NELSON else np.concatenate([e, -e], axis=1)
 
 
 def _middle_balance(model: LatticeModel, betas: np.ndarray, energies: np.ndarray):
@@ -289,20 +288,18 @@ def _middle_balance(model: LatticeModel, betas: np.ndarray, energies: np.ndarray
     return np.log(np.abs(roots[:, i]) * np.abs(roots[:, j]) / np.abs(betas) ** 2)
 
 
-def _balance(model: LatticeModel, betas: np.ndarray, band=None):
-    """Middle-root balance at the cell energies E_j(beta), and those energies.
+def _balance(model: LatticeModel, betas: np.ndarray, branch=None) -> np.ndarray:
+    """Middle-root balance g at the branch energies E_j(beta).
 
-    g changes sign where beta lies on the continuum GBZ of band j.  Without
-    ``band`` g has shape (n, s), one column per band; with ``band`` (one
-    index per beta) only that band's quartic is solved and g has shape (n,).
+    g changes sign where beta lies on the continuum GBZ of branch j, for
+    both energies +-E.  Without ``branch`` g has shape (n, b), one column per
+    branch; with ``branch`` (one index per beta) only that branch's quartic
+    is solved and g has shape (n,).
     """
-    betas = np.asarray(betas)
-    Es = _cell_energies(model, betas)
-    if band is None:
-        s = model.sites_per_cell
-        g = _middle_balance(model, np.repeat(betas, s), Es.ravel())
-        return g.reshape(len(betas), s), Es
-    return _middle_balance(model, betas, Es[np.arange(len(betas)), band]), Es
+    Es = _branch_energies(model, betas)
+    if branch is None:
+        return _middle_balance(model, np.repeat(betas, Es.shape[1]), Es.ravel()).reshape(Es.shape)
+    return _middle_balance(model, betas, Es[np.arange(len(Es)), branch])
 
 
 def _bisect(g, lo, hi, glo, steps: int) -> np.ndarray:
@@ -395,26 +392,28 @@ def _obc_fit_gbz(model: LatticeModel, n_sites: int, pair_tol: float):
 def _charpoly_gbz(model: LatticeModel, n_theta: int = 120,
                   r_range=(0.02, 50.0), n_r: int = 60):
     """Continuum GBZ by radial bisection of the middle-root-pair modulus
-    balance along rays in the beta plane.
+    balance along rays in the beta plane, one bracket per (ray, E^2 branch).
 
     Returns the accepted points (betas, energies) and the number of
-    bisected brackets, of which the acceptance filter may reject some."""
+    bisected brackets, of which the acceptance filter may reject some.  A
+    chiral point is reported twice, as (beta, E) and (beta, -E), and a
+    bracket counts once per sign."""
     thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
     rs = np.geomspace(r_range[0], r_range[1], n_r)
     phases = np.exp(1j * thetas)
     # scan the coarse grid one ray at a time: all rays at once would hold
-    # n_theta * n_r * s quartics and their root-finding temporaries in memory
-    g = np.stack([_balance(model, rs * ph)[0] for ph in phases])
-    # brackets ordered by ray, then by band, then by radius
-    ray, band, idx = np.nonzero((np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
-                                .transpose(0, 2, 1))
-    if len(band) == 0:
+    # n_theta * n_r * b quartics and their root-finding temporaries in memory
+    g = np.stack([_balance(model, rs * ph) for ph in phases])
+    # brackets ordered by ray, then by branch, then by radius
+    ray, branch, idx = np.nonzero((np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+                                  .transpose(0, 2, 1))
+    if len(branch) == 0:
         return np.array([], dtype=complex), np.array([], dtype=complex), 0
     phase = phases[ray]
-    r = _bisect(lambda r, k: _balance(model, r * phase[k], band[k])[0],
-                rs[idx], rs[idx + 1], g[ray, idx, band], 60)
+    r = _bisect(lambda r, k: _balance(model, r * phase[k], branch[k]),
+                rs[idx], rs[idx + 1], g[ray, idx, branch], 60)
     betas = r * phase
-    energies = _cell_energies(model, betas)[np.arange(len(betas)), band]
+    energies = _branch_energies(model, betas)[np.arange(len(betas)), branch]
     roots = _roots_many(charpoly_coefficients(model, energies))
     i, j = _middle_pair_indices(roots.shape[1])
     # keep only genuine balance points where beta is itself a middle root
@@ -422,7 +421,10 @@ def _charpoly_gbz(model: LatticeModel, n_theta: int = 120,
     keep = ((np.abs(np.abs(roots[:, i]) - np.abs(roots[:, j])) < 1e-6 * r)
             & (np.minimum(np.abs(roots[:, i] - betas), np.abs(roots[:, j] - betas))
                < 1e-5 * r))
-    return betas[keep], energies[keep], len(betas)
+    if model.family is Family.HATANO_NELSON:
+        return betas[keep], energies[keep], len(r)
+    e = energies[keep]
+    return np.repeat(betas[keep], 2), np.stack([e, -e], axis=1).ravel(), 2 * len(r)
 
 
 def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 160,
@@ -505,7 +507,7 @@ def _real_axis_crossing(model: LatticeModel, r_lo: float, r_hi: float) -> float 
     """Radius at which the GBZ balance condition holds on the negative real
     axis, or None when no sign change is bracketed."""
     def g_mean(r, *_):
-        return np.mean(_balance(model, -r)[0], axis=1)
+        return np.mean(_balance(model, -r), axis=1)
 
     rs = np.geomspace(r_lo, r_hi, 80)
     gs = g_mean(rs)
@@ -514,8 +516,8 @@ def _real_axis_crossing(model: LatticeModel, r_lo: float, r_hi: float) -> float 
         return None
     c = cross[0]
     r = _bisect(g_mean, rs[c:c + 1], rs[c + 1:c + 2], gs[c:c + 1], 80)
-    # a genuine touching point balances every band at once
-    if np.max(np.abs(_balance(model, -r)[0])) > 1e-6:
+    # a genuine touching point balances every branch at once
+    if np.max(np.abs(_balance(model, -r))) > 1e-6:
         return None
     return float(r[0])
 

@@ -65,6 +65,43 @@ def test_projection_weight_sits_at_small_beta(field_a, gbz_a):
     assert mean_mod[-1] < 1.0
 
 
+def _band_pair_magnitude_per_point(proj):
+    """Oracle: one cell eigensolve per GBZ point, whose eigenvalues come in
+    the column order of the coefficients."""
+    T, P, s = proj.coefficients.shape
+    out = np.zeros((T, P))
+    for p in range(P):
+        E = proj.gbz.energies[p]
+        w = eig_biorthogonal(non_bloch_hamiltonian(proj.gbz.model, proj.gbz.betas[p])).eigenvalues
+        j1 = int(np.argmin(np.abs(w - E)))
+        j2 = int(np.argmin(np.abs(w - (-np.conj(E)))))
+        idx = [j1, j2] if j1 != j2 else [j1]
+        out[:, p] = np.sqrt(np.sum(np.abs(proj.coefficients[:, p, idx]) ** 2, axis=1))
+    return out
+
+
+def test_band_pair_magnitude_matches_per_point_eigensolves(field_a, gbz_a):
+    proj = laplace_projection(field_a, gbz_a, normalized=True)
+    np.testing.assert_allclose(proj.band_pair_magnitude(),
+                               _band_pair_magnitude_per_point(proj), rtol=1e-14, atol=0)
+
+
+def test_band_pair_magnitude_holds_the_mode_of_the_point_energy(model_a, gbz_a):
+    # a Bloch profile of the mode with the point's own energy projects onto
+    # that mode alone, so the pair magnitude must carry all of its weight
+    m = model_a.with_(gamma=0.0, n_cells=40)
+    x = np.arange(1, m.n_cells + 1)
+    for k in np.argsort(np.abs(gbz_a.betas))[:5]:
+        beta0 = gbz_a.betas[k]
+        cell = eig_biorthogonal(non_bloch_hamiltonian(m, beta0))
+        v = cell.right_vectors[:, np.argmin(np.abs(cell.eigenvalues - gbz_a.energies[k]))]
+        psi = (beta0 ** x[:, None] * v[None, :]).ravel()
+        proj = laplace_projection(WaveField(np.array([0.0]), psi[None, :], m), gbz_a,
+                                  normalized=False)
+        whole = np.linalg.norm(proj.coefficients[0, k])
+        assert proj.band_pair_magnitude()[0, k] == pytest.approx(whole, rel=1e-9)
+
+
 def test_projection_model_mismatch(field_a, model_b):
     g = gbz_compute(model_b.with_(gamma=0.0, n_cells=40))
     with pytest.raises(ValidationError):
