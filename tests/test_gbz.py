@@ -161,9 +161,9 @@ def test_charpoly_points_are_distinct_and_come_with_minus_e(family, hops):
     b, e = g.betas, g.energies
     # every beta carries both E and -E
     assert _point_distance(b, -e, b, e).min(axis=1).max() <= 1e-12
-    # no point twice.  The real axis is left out: at the touching point both
-    # E^2 branches balance at the same beta with the same degenerate energy,
-    # so two brackets find one point, split only by rounding (~1e-10).
+    # no point twice.  The real axis is left out: both GBZ components pass
+    # through the touching point, so both E^2 branches report it, with the
+    # same degenerate energy, split only by rounding (~1e-10).
     off = np.abs(b.imag) > 1e-9 * np.abs(b)
     d = _point_distance(b[off], e[off], b[off], e[off])
     np.fill_diagonal(d, np.inf)
