@@ -258,8 +258,8 @@ def _branch_energies(model: LatticeModel, betas) -> np.ndarray:
     and off-diagonal product u^2 / beta, so E^2 = m +- u / sqrt(beta); this
     keeps the split of the near-double E^2 near the touching point (u -> 0),
     which the quadratic formula on the charpoly table would cancel away.
-    Each column is analytic along a ray of fixed arg(beta), so it is the
-    label that a bisection bracket follows.  Hatano-Nelson has one band.
+    Each column's E^2 is analytic along a ray of fixed arg(beta), so the
+    column is the label a bisection bracket follows (Hatano-Nelson: its band).
     """
     b = np.atleast_1d(np.asarray(betas, dtype=complex))
     t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
