@@ -178,8 +178,7 @@ def obc_decomposition(field: WaveField, spectrum: Spectrum | None = None) -> Mod
     return ModeDecomposition(field.times, D, spectrum)
 
 
-def classify_phase(model: LatticeModel, tol_im: float | None = None,
-                   tol_gap: float | None = None, boundary_tol: float = 0.0,
+def classify_phase(model: LatticeModel, boundary_tol: float = 0.0,
                    gbz_sites: int = 160) -> PhaseLabel:
     """Dynamic-phase label of a double-chain model at zero damping.
 
@@ -196,7 +195,7 @@ def classify_phase(model: LatticeModel, tol_im: float | None = None,
         return PhaseLabel(Phase.BOUNDARY, np.nan, np.nan, None,
                           diagnostic="within boundary_tol of the Hermitian line")
     g = gbz_compute(m0, GbzMethod.OBC_FIT, n_sites=gbz_sites)
-    report = gap_report(m0, tol_im, tol_gap, gbz_sites=gbz_sites, gbz=g)
+    report = gap_report(m0, gbz_sites=gbz_sites, gbz=g)
     sd = skin_direction(g)
     if sd.direction is Direction.NONE:
         return PhaseLabel(Phase.BOUNDARY, report.max_abs_im,
@@ -222,8 +221,7 @@ def _hermitian_gap(model: LatticeModel) -> float:
 
 def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),
                        t4_range=(0.2, 6.0), resolution: int = 24,
-                       n_cells: int = 25, tol_im: float | None = None,
-                       tol_gap: float | None = None) -> PhaseDiagram:
+                       n_cells: int = 25) -> PhaseDiagram:
     """Classify every point of a (t3, t4) grid.
 
     Points closer to the Hermitian line than half a grid step are labeled
@@ -240,8 +238,7 @@ def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),
     for i4 in range(resolution):
         for i3 in range(resolution):
             m = make_model(Family.GT, t1, t2, t3s[i3], t4s[i4], n_cells=n_cells)
-            lab = classify_phase(m, tol_im, tol_gap, boundary_tol=step / 2,
-                                 gbz_sites=m.n_sites)
+            lab = classify_phase(m, boundary_tol=step / 2, gbz_sites=m.n_sites)
             labels[i4, i3] = lab
             im_mag[i4, i3] = lab.max_abs_im if np.isfinite(lab.max_abs_im) else 0.0
     return PhaseDiagram(t3s, t4s, labels, im_mag)

@@ -9,14 +9,18 @@ Two independent GBZ constructions are provided:
 * ``charpoly`` never diagonalizes anything: along each ray beta = r e^{i theta}
   it bisects, for each closed-form E^2 branch of H(beta), for the radius at
   which the middle root pair of the characteristic polynomial has equal
-  modulus, and reports each point with both energies +-E.  The brackets of
-  all rays and branches are bisected together, one batched balance per step.
+  modulus, and reports each point with both energies +-E.
 
 Both read the characteristic polynomial beta^p det(H(beta) - E) from an exact
 table of its bivariate coefficients and solve it for beta in closed form
 (Ferrari for the double chain's quartic, the quadratic formula otherwise).
 
 Agreement of the two methods is the main internal consistency check.
+
+One helper, ``_ray_zeros``, finds every balanced radius: a coarse scan of
+one E^2 branch's balance per ray, then one batched bisection of all
+sign-change brackets.  The charpoly GBZ, the cross-check and the touching
+point all call it.
 
 The double chain has four bands that the combined glide/time-reversal
 symmetry groups into two pairs (E, -conj(E)); each pair traces one GBZ
@@ -280,26 +284,18 @@ def _cell_energy_sets(model: LatticeModel, betas) -> np.ndarray:
     return e if model.family is Family.HATANO_NELSON else np.concatenate([e, -e], axis=1)
 
 
-def _middle_balance(model: LatticeModel, betas: np.ndarray, energies: np.ndarray):
-    """g = log(|rho_a| |rho_b| / |beta|^2) per (beta, E) pair, where rho_a,
-    rho_b are the middle-modulus roots of det(H(beta') - E) = 0."""
-    roots = _roots_many(charpoly_coefficients(model, energies))
-    i, j = _middle_pair_indices(roots.shape[1])
-    return np.log(np.abs(roots[:, i]) * np.abs(roots[:, j]) / np.abs(betas) ** 2)
-
-
-def _balance(model: LatticeModel, betas: np.ndarray, branch=None) -> np.ndarray:
-    """Middle-root balance g at the branch energies E_j(beta).
+def _balance(model: LatticeModel, betas: np.ndarray, branch) -> np.ndarray:
+    """Middle-root balance g = log(|rho_a| |rho_b| / |beta|^2) at the energy
+    E_j(beta) of E^2 branch j = ``branch`` (one index per beta), where rho_a,
+    rho_b are the middle-modulus roots of det(H(beta') - E) = 0.
 
     g changes sign where beta lies on the continuum GBZ of branch j, for
-    both energies +-E.  Without ``branch`` g has shape (n, b), one column per
-    branch; with ``branch`` (one index per beta) only that branch's quartic
-    is solved and g has shape (n,).
+    both energies +-E.  Only that branch's quartic is solved per beta.
     """
-    Es = _branch_energies(model, betas)
-    if branch is None:
-        return _middle_balance(model, np.repeat(betas, Es.shape[1]), Es.ravel()).reshape(Es.shape)
-    return _middle_balance(model, betas, Es[np.arange(len(Es)), branch])
+    Es = _branch_energies(model, betas)[np.arange(len(betas)), branch]
+    roots = _roots_many(charpoly_coefficients(model, Es))
+    i, j = _middle_pair_indices(roots.shape[1])
+    return np.log(np.abs(roots[:, i]) * np.abs(roots[:, j]) / np.abs(betas) ** 2)
 
 
 def _bisect(g, lo, hi, glo, steps: int) -> np.ndarray:
@@ -328,6 +324,33 @@ def _bisect(g, lo, hi, glo, steps: int) -> np.ndarray:
         lo[active[zero]] = mid[zero]
         active = active[~zero]
     return np.sqrt(lo * hi)
+
+
+#: Quartics the coarse scan of :func:`_ray_zeros` solves at a time, so that
+#: the root-finding temporaries of a large grid of rays stay small.
+_SCAN_QUARTICS = 1024
+
+
+def _ray_zeros(model: LatticeModel, phases: np.ndarray, branches: np.ndarray, rs):
+    """Balance zeros of one E^2 branch along each ray beta = r * phase.
+
+    Ray k follows branch ``branches[k]``.  ``rs`` is the coarse grid of
+    radii, shared by all rays (shape (n_r,)) or one row per ray (n, n_r).
+    Every sign change of the balance on that grid is one bracket, and all
+    brackets are bisected together down to the ulp.  Returns the ray index
+    and the radius of each zero, ordered by ray, then by radius.
+    """
+    rs = np.broadcast_to(rs, (len(phases), np.shape(rs)[-1]))
+    n_r = rs.shape[1]
+    step = max(1, _SCAN_QUARTICS // n_r)
+    g = np.concatenate([
+        _balance(model, (rs[a:a + step] * phases[a:a + step, None]).ravel(),
+                 np.repeat(branches[a:a + step], n_r)).reshape(-1, n_r)
+        for a in range(0, len(phases), step)])
+    ray, idx = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+    r = _bisect(lambda r, k: _balance(model, r * phases[ray[k]], branches[ray[k]]),
+                rs[ray, idx], rs[ray, idx + 1], g[ray, idx], 80)
+    return ray, r
 
 
 def _band_pairs(model: LatticeModel, betas: np.ndarray, energies: np.ndarray) -> np.ndarray:
@@ -365,13 +388,14 @@ def _chain_eigenvalues(model: LatticeModel, n_sites: int) -> np.ndarray:
     return np.linalg.eigvals(H).astype(complex, copy=False)
 
 
-def _obc_fit_gbz(model: LatticeModel, n_sites: int, pair_tol: float):
+def _obc_fit_gbz(model: LatticeModel, n_sites: int):
     w = _chain_eigenvalues(model, n_sites)
     coeffs = charpoly_coefficients(model, w)
     roots = _roots_many(coeffs)
     i, j = _middle_pair_indices(roots.shape[1])
     b2, b3 = roots[:, i], roots[:, j]
-    ok = np.abs(np.abs(b2) - np.abs(b3)) < pair_tol * np.abs(b2)
+    # a bulk eigenvalue's middle roots agree in modulus to 1%
+    ok = np.abs(np.abs(b2) - np.abs(b3)) < 1e-2 * np.abs(b2)
     # second pass: drop anything sitting inside the bulk line gap (edge modes)
     if np.any(ok):
         half_gap = np.min(np.abs(w[ok].real))
@@ -389,31 +413,23 @@ def _obc_fit_gbz(model: LatticeModel, n_sites: int, pair_tol: float):
     return betas, energies, w
 
 
-def _charpoly_gbz(model: LatticeModel, n_theta: int = 120,
-                  r_range=(0.02, 50.0), n_r: int = 60):
+def _charpoly_gbz(model: LatticeModel, n_theta: int = 120):
     """Continuum GBZ by radial bisection of the middle-root-pair modulus
-    balance along rays in the beta plane, one bracket per (ray, E^2 branch).
+    balance along rays in the beta plane, one bracket per sign change of
+    each (ray, E^2 branch) on 60 radii from 0.02 to 50.
 
     Returns the accepted points (betas, energies) and the number of
     bisected brackets, of which the acceptance filter may reject some.  A
     chiral point is reported twice, as (beta, E) and (beta, -E), and a
     bracket counts once per sign."""
-    thetas = np.linspace(0, 2 * np.pi, n_theta, endpoint=False)
-    rs = np.geomspace(r_range[0], r_range[1], n_r)
-    phases = np.exp(1j * thetas)
-    # scan the coarse grid one ray at a time: all rays at once would hold
-    # n_theta * n_r * b quartics and their root-finding temporaries in memory
-    g = np.stack([_balance(model, rs * ph) for ph in phases])
-    # brackets ordered by ray, then by branch, then by radius
-    ray, branch, idx = np.nonzero((np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
-                                  .transpose(0, 2, 1))
-    if len(branch) == 0:
-        return np.array([], dtype=complex), np.array([], dtype=complex), 0
-    phase = phases[ray]
-    r = _bisect(lambda r, k: _balance(model, r * phase[k], branch[k]),
-                rs[idx], rs[idx + 1], g[ray, idx, branch], 60)
-    betas = r * phase
-    energies = _branch_energies(model, betas)[np.arange(len(betas)), branch]
+    n_branch = _branch_energies(model, 1.0).shape[1]
+    # one row per (ray, branch), so zeros come ordered by ray, branch, radius
+    phases = np.repeat(np.exp(1j * np.linspace(0, 2 * np.pi, n_theta, endpoint=False)),
+                       n_branch)
+    branches = np.tile(np.arange(n_branch), n_theta)
+    k, r = _ray_zeros(model, phases, branches, np.geomspace(0.02, 50.0, 60))
+    betas = r * phases[k]
+    energies = _branch_energies(model, betas)[np.arange(len(betas)), branches[k]]
     roots = _roots_many(charpoly_coefficients(model, energies))
     i, j = _middle_pair_indices(roots.shape[1])
     # keep only genuine balance points where beta is itself a middle root
@@ -428,8 +444,7 @@ def _charpoly_gbz(model: LatticeModel, n_theta: int = 120,
 
 
 def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 160,
-                pair_tol: float = 1e-2, cross_check: bool = False,
-                cross_tol: float = 1e-3) -> GBZ:
+                cross_check: bool = False, cross_tol: float = 1e-3) -> GBZ:
     """Compute the GBZ of a model by the requested method.
 
     With ``cross_check`` the other method is computed as well and every point
@@ -441,7 +456,7 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
     if n_sites % s != 0 or n_sites < 4 * s:
         raise ValidationError(f"n_sites must be a multiple of {s} and >= {4 * s}")
     if method is GbzMethod.OBC_FIT:
-        betas, energies, chain_eigenvalues = _obc_fit_gbz(model, n_sites, pair_tol)
+        betas, energies, chain_eigenvalues = _obc_fit_gbz(model, n_sites)
         brackets = None
     else:
         betas, energies, found = _charpoly_gbz(model)
@@ -454,7 +469,7 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
               brackets)
     if cross_check:
         if method is not GbzMethod.OBC_FIT:
-            ref = gbz_compute(model, GbzMethod.OBC_FIT, n_sites, pair_tol)
+            ref = gbz_compute(model, GbzMethod.OBC_FIT, n_sites)
         else:
             ref = out
         rng = np.random.default_rng(0)
@@ -479,45 +494,33 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
 
 def _radial_refine_many(model: LatticeModel, betas: np.ndarray,
                         energies: np.ndarray) -> np.ndarray:
-    """Continuum GBZ radius on the ray through each ``beta``, for the band
-    whose energy tracks the paired ``E``; NaN where no balance zero is
-    bracketed nearby."""
-    phase = np.exp(1j * np.angle(betas))
-    r0 = np.abs(betas)
-    n = len(betas)
-
-    def g_point(r, k):
-        # solve only the quartic of the band whose energy tracks the paired E
-        b = r * phase[k]
-        Es = _cell_energy_sets(model, b)
-        band = np.argmin(np.abs(Es - energies[k, None]), axis=1)
-        return _middle_balance(model, b, Es[np.arange(len(k)), band])
-
-    lo, hi = r0 * 0.8, r0 * 1.25
-    both = np.arange(n)
-    g_ends = g_point(np.concatenate([lo, hi]), np.concatenate([both, both]))
-    glo, ghi = g_ends[:n], g_ends[n:]
-    k = np.nonzero(np.sign(glo) != np.sign(ghi))[0]
-    out = np.full(n, np.nan)
-    out[k] = _bisect(lambda r, j: g_point(r, k[j]), lo[k], hi[k], glo[k], 60)
+    """Continuum GBZ radius on the ray through each ``beta``, for the E^2
+    branch whose E^2 at that beta lies nearest the paired E^2; NaN where no
+    balance zero of that branch is bracketed in [0.8, 1.25] |beta|."""
+    E2 = _branch_energies(model, betas) ** 2
+    branch = np.argmin(np.abs(E2 - energies[:, None] ** 2), axis=1)
+    k, r = _ray_zeros(model, np.exp(1j * np.angle(betas)), branch,
+                      np.abs(betas)[:, None] * [0.8, 1.25])
+    out = np.full(len(betas), np.nan)
+    out[k] = r
     return out
 
 
 def _real_axis_crossing(model: LatticeModel, r_lo: float, r_hi: float) -> float | None:
-    """Radius at which the GBZ balance condition holds on the negative real
-    axis, or None when no sign change is bracketed."""
-    def g_mean(r, *_):
-        return np.mean(_balance(model, -r), axis=1)
+    """Radius of the first balance zero on the negative real axis between
+    ``r_lo`` and ``r_hi``, or None when no sign change is bracketed or the
+    zero does not balance every E^2 branch.
 
-    rs = np.geomspace(r_lo, r_hi, 80)
-    gs = g_mean(rs)
-    cross = np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]
-    if len(cross) == 0:
+    There the E^2 branches are complex conjugates (the symmetry quadruple
+    {+-a +- ib}), so their balances agree and branch 0 is bisected alone."""
+    _, r = _ray_zeros(model, np.array([-1.0 + 0j]), np.array([0]),
+                      np.geomspace(r_lo, r_hi, 80))
+    if len(r) == 0:
         return None
-    c = cross[0]
-    r = _bisect(g_mean, rs[c:c + 1], rs[c + 1:c + 2], gs[c:c + 1], 80)
+    n_branch = _branch_energies(model, 1.0).shape[1]
+    g = _balance(model, np.full(n_branch, -r[0]), np.arange(n_branch))
     # a genuine touching point balances every branch at once
-    if np.max(np.abs(_balance(model, -r))) > 1e-6:
+    if np.max(np.abs(g)) > 1e-6:
         return None
     return float(r[0])
 
@@ -563,8 +566,7 @@ def skin_direction(gbz: GBZ, tol: float = 1e-3) -> SkinDirection:
     return SkinDirection(d, m)
 
 
-def gap_report(model: LatticeModel, tol_im: float | None = None,
-               tol_gap: float | None = None, gbz_sites: int = 160,
+def gap_report(model: LatticeModel, gbz_sites: int = 160,
                gbz: GBZ | None = None) -> GapReport:
     """Bulk line-gap width, in-gap mode count, and spectrum-realness flags.
 
@@ -582,10 +584,7 @@ def gap_report(model: LatticeModel, tol_im: float | None = None,
         # only eigenvalues are needed here; skip the eigenvector conditioning
         eigs0 = _chain_eigenvalues(model, model.n_sites)
     radius = max(float(np.max(np.abs(eigs0))), 1e-300)
-    if tol_im is None:
-        tol_im = 1e-6 * radius
-    if tol_gap is None:
-        tol_gap = 1e-3 * radius
+    tol_im, tol_gap = 1e-6 * radius, 1e-3 * radius
     g = gbz if gbz is not None else gbz_compute(model, GbzMethod.OBC_FIT,
                                                 n_sites=gbz_sites)
     re_abs = np.sort(np.abs(g.energies.real))

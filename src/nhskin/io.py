@@ -194,8 +194,8 @@ def _viridis(u: float) -> str:
     return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
 
 
-def write_svg_heatmap(path, values: np.ndarray, x_grid=None, y_grid=None,
-                      title: str = "", cell: int = 12) -> None:
+def write_svg_heatmap(path, values: np.ndarray, title: str = "",
+                      cell: int = 12) -> None:
     """Render a matrix as a colored-cell heatmap (row 0 at the bottom)."""
     V = np.asarray(values, dtype=float)
     if V.ndim != 2:
@@ -218,14 +218,14 @@ def write_svg_heatmap(path, values: np.ndarray, x_grid=None, y_grid=None,
     Path(path).write_text(doc + "\n")
 
 
-def write_svg_scatter(path, x, y, title: str = "", size: int = 420,
-                      color: str = "#1f77b4", unit_circle: bool = True) -> None:
+def write_svg_scatter(path, x, y, title: str = "", unit_circle: bool = True) -> None:
     """Scatter plot with auto-scaled axes and a unit-circle reference."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValidationError("x and y must have the same shape")
     lim = max(1.0, np.max(np.abs(x), initial=0), np.max(np.abs(y), initial=0)) * 1.1
+    size = 420
     half = size / 2
 
     def sx(v):
@@ -245,7 +245,7 @@ def write_svg_scatter(path, x, y, title: str = "", size: int = 420,
         body.append(f'<text x="10" y="14" font-size="12">{title}</text>')
     for xi, yi in zip(x.ravel(), y.ravel()):
         body.append(f'<circle cx="{sx(xi):.2f}" cy="{sy(yi):.2f}" r="2.2" '
-                    f'fill="{color}"/>')
+                    'fill="#1f77b4"/>')
     Path(path).write_text(_svg_document(size, size, body) + "\n")
 
 

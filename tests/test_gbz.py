@@ -12,9 +12,10 @@ from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     gap_report, gbz_compute, gbz_touching_point, make_model,
                     non_bloch_hamiltonian, real_space_hamiltonian, skin_direction)
 from nhskin import gbz as gbz_mod
-from nhskin.gbz import (_bisect, _branch_energies, _cell_energy_sets, _chain_eigenvalues,
-                        _charpoly_gbz, _charpoly_table, _fit_chain, _middle_pair_indices,
-                        _radial_refine_many, _roots_many, charpoly_coefficients)
+from nhskin.gbz import (_balance, _bisect, _branch_energies, _cell_energy_sets,
+                        _chain_eigenvalues, _charpoly_gbz, _charpoly_table, _fit_chain,
+                        _middle_pair_indices, _radial_refine_many, _roots_many,
+                        charpoly_coefficients)
 from nhskin.model import non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
@@ -269,6 +270,41 @@ def test_balanced_radius_beats_both_middle_roots(model_a):
     s = np.linalg.svd(non_bloch_hamiltonians(m, g.betas) - g.energies[:, None, None]
                       * np.eye(4), compute_uv=False)
     assert np.max(s[:, -1] / s[:, 0]) < 1e-12
+
+
+FIG4_HOPS = pytest.mark.parametrize("hops", [(2.1, 14.9, 11.2, 3.7),    # fig4a
+                                              (3.2, 6.7, 22.6, 8.4),     # fig4e
+                                              (2.1, 14.9, 12.6, 8.9)])   # fig4i
+
+
+@FIG4_HOPS
+def test_radial_refine_returns_the_charpoly_points_own_radii(hops):
+    # the cross-check bisects the same branch balance along the same ray as
+    # the charpoly GBZ, so every charpoly point is its own reference
+    m = make_model(Family.GT, *hops)
+    g = gbz_compute(m, GbzMethod.CHARPOLY)
+    r = _radial_refine_many(m, g.betas, g.energies)
+    assert not np.any(np.isnan(r))
+    assert np.max(np.abs(r - np.abs(g.betas)) / np.abs(g.betas)) <= 1e-9
+
+
+@FIG4_HOPS
+def test_branch_balances_agree_on_the_negative_real_axis(hops):
+    # there the two E^2 branches are complex conjugates, so the touching
+    # point can bisect branch 0 alone
+    m = make_model(Family.GT, *hops)
+    betas = -np.geomspace(0.02, 50, 400)
+    assert np.max(np.abs(_balance(m, betas, 0) - _balance(m, betas, 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("block", [7, 150])
+def test_charpoly_gbz_does_not_depend_on_the_scan_block(block, monkeypatch):
+    m = make_model(Family.GT, 3.2, 6.7, 22.6, 8.4, n_cells=10)
+    ref = _charpoly_gbz(m, n_theta=12)
+    # 7 quartics: one ray per block; 150: two rays per block
+    monkeypatch.setattr(gbz_mod, "_SCAN_QUARTICS", block)
+    for a, b in zip(ref, _charpoly_gbz(m, n_theta=12)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_skin_direction_examples():

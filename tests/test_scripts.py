@@ -46,15 +46,3 @@ def test_run_transition_paths(tmp_path):
         "sweep_path1.csv", "sweep_path2.csv",
         "energy_path1_m0.000.csv", "energy_path1_m1.450.csv",
         "energy_path2_m0.000.csv", "energy_path2_m2.900.csv"}
-
-
-def test_run_dynamics(tmp_path):
-    cfg = tmp_path / "short.ini"
-    cfg.write_text("[evolve]\nhorizon = 1\nfs = 50\n")
-    out = tmp_path / "out"
-    res = _run("run_dynamics.py", "--preset", "fig4a", "--out", str(out),
-               "--config", str(cfg))
-    assert res.returncode == 0, res.stderr
-    assert {"spectrum.csv", "gbz.csv", "wavefield.csv", "wavefield.npz",
-            "energy.csv", "gbz_projection.csv",
-            "mode_decomposition.csv"} <= _outputs(out)
