@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import EnergyTrace, WaveField, default_time_grid, energy_trace, evolve, poke_state
+from .dynamics import EnergyTrace, WaveField, energy_trace, evolve, poke_state
 from .errors import ValidationError
 from .gbz import (GBZ, Direction, GapReport, GbzMethod, SkinDirection,
                   gap_report, gbz_compute, skin_direction)
@@ -51,7 +51,6 @@ class PhaseLabel:
     max_abs_im: float
     line_gap: float
     direction: SkinDirection | None
-    diagnostic: str = ""
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,11 @@ class PathSpec:
         return (self.t3_intercept + self.t3_slope * m,
                 self.t4_intercept + self.t4_slope * m)
 
-    def model_at(self, m: float, n_cells: int = 10, gamma: float = 0.0) -> LatticeModel:
+    def model_at(self, m: float, n_cells: int = 10) -> LatticeModel:
         if not 0 <= m <= self.m_max:
             raise ValidationError(f"m = {m} outside [0, {self.m_max}]")
         t3, t4 = self.hoppings(m)
-        return make_model(Family.GT, self.t1, self.t2, t3, t4,
-                          gamma=gamma, n_cells=n_cells)
+        return make_model(Family.GT, self.t1, self.t2, t3, t4, n_cells=n_cells)
 
 
 #: paths through the (t3, t4) plane at t1 = 1, t2 = 2 used in the
@@ -192,15 +190,14 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0,
     if m0.t3 == m0.t4:
         return PhaseLabel(Phase.HERMITIAN_LINE, 0.0, _hermitian_gap(m0), None)
     if abs(m0.t3 - m0.t4) < boundary_tol:
-        return PhaseLabel(Phase.BOUNDARY, np.nan, np.nan, None,
-                          diagnostic="within boundary_tol of the Hermitian line")
+        return PhaseLabel(Phase.BOUNDARY, np.nan, np.nan, None)
     g = gbz_compute(m0, GbzMethod.OBC_FIT, n_sites=gbz_sites)
     report = gap_report(m0, gbz_sites=gbz_sites, gbz=g)
     sd = skin_direction(g)
     if sd.direction is Direction.NONE:
+        # no skin direction despite non-Hermiticity
         return PhaseLabel(Phase.BOUNDARY, report.max_abs_im,
-                          report.line_gap_width, sd,
-                          diagnostic="no skin direction despite non-Hermiticity")
+                          report.line_gap_width, sd)
     if report.is_real_spectrum:
         base = Phase.C
     elif report.line_gap_width > 0:
@@ -270,10 +267,9 @@ def growth_rate(trace: EnergyTrace, fit_fraction: float = 0.25) -> float:
     return float(np.polyfit(t, np.log(P), 1)[0])
 
 
-def transition_sweep(path: PathSpec, m_samples, t_grid: np.ndarray | None = None,
-                     psi0: np.ndarray | None = None, n_cells: int = 10,
-                     gamma: float = 0.0, fit_fraction: float = 0.25) -> TransitionSweep:
-    """Evolve the same excitation for each model along a parameter path.
+def transition_sweep(path: PathSpec, m_samples, t_grid: np.ndarray,
+                     n_cells: int = 10) -> TransitionSweep:
+    """Poke the middle site of each undamped model along a parameter path.
 
     Returns the energy traces P(t) and the fitted late-time growth rates
     lambda(m) (slope of log P over the last quarter of the horizon).
@@ -284,14 +280,11 @@ def transition_sweep(path: PathSpec, m_samples, t_grid: np.ndarray | None = None
         ms = np.linspace(0.0, path.m_max, int(m_samples))
     else:
         ms = np.asarray(m_samples, dtype=float)
-    if t_grid is None:
-        t_grid = default_time_grid()
     traces = []
     rates = []
     for m in ms:
-        model = path.model_at(m, n_cells=n_cells, gamma=gamma)
-        p0 = psi0 if psi0 is not None else poke_state(model, model.n_sites // 2)
-        tr = energy_trace(evolve(model, p0, t_grid))
+        model = path.model_at(m, n_cells=n_cells)
+        tr = energy_trace(evolve(model, poke_state(model, model.n_sites // 2), t_grid))
         traces.append(tr)
-        rates.append(growth_rate(tr, fit_fraction))
+        rates.append(growth_rate(tr))
     return TransitionSweep(path, ms, traces, np.array(rates))

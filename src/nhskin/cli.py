@@ -14,13 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from .analysis import (PATH1, PATH2, growth_rate, laplace_projection,
-                       obc_decomposition, scan_phase_diagram, transition_sweep)
+from .analysis import (laplace_projection, obc_decomposition, scan_phase_diagram,
+                       transition_sweep)
 from .dynamics import (WaveField, default_time_grid, energy_trace, evolve,
                        poke_state, stft, synthesize_signal)
 from .errors import ConfigError, NhskinError, NumericalError, ValidationError
 from .gbz import gbz_compute, gbz_touching_point, skin_direction
-from .model import Family, make_model
 from .spectral import obc_spectrum
 
 # Parameter sets quoted from the source experiments (rad/s; 10 unit cells).
@@ -49,19 +48,19 @@ PRESETS = {
 
 
 def _merge_config(args) -> dict:
-    cfg = {}
+    """Every section's defaults, overridden key by key by the preset and
+    then by the config file, all typed by ``nio.CONFIG_SCHEMA``."""
+    layers = []
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}; "
                               f"choose from {', '.join(sorted(PRESETS))}")
-        for section, block in PRESETS[args.preset].items():
-            cfg.setdefault(section, {}).update(block)
+        layers.append(nio.typed_config(PRESETS[args.preset], f"preset {args.preset}"))
     if args.config:
-        for section, block in nio.load_config(args.config).items():
-            cfg.setdefault(section, {}).update(block)
-    if not cfg:
+        layers.append(nio.load_config(args.config))
+    if not layers:
         raise ConfigError("no configuration: pass --preset and/or --config")
-    return cfg
+    return nio.merge_config(*layers)
 
 
 def _outdir(args) -> Path:
@@ -70,12 +69,7 @@ def _outdir(args) -> Path:
     return out
 
 
-def _floats(block, key, default):
-    return float(block.get(key, default)) if block else float(default)
-
-
-def cmd_spectrum(args) -> int:
-    cfg = _merge_config(args)
+def cmd_spectrum(args, cfg) -> int:
     model = nio.model_from_config(cfg)
     spec = obc_spectrum(model)
     out = _outdir(args)
@@ -92,14 +86,9 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_gbz(args) -> int:
-    cfg = _merge_config(args)
+def cmd_gbz(args, cfg) -> int:
     model = nio.model_from_config(cfg)
-    block = cfg.get("gbz", {})
-    g = gbz_compute(model, method=block.get("method", "obc_fit"),
-                    n_sites=int(block.get("n_sites", "160")),
-                    cross_check=block.get("cross_check", "false").lower() == "true",
-                    cross_tol=_floats(block, "cross_tol", 1e-3))
+    g = gbz_compute(model, **cfg["gbz"])
     out = _outdir(args)
     if args.format in ("csv", "both"):
         nio.write_gbz_csv(out / "gbz.csv", g)
@@ -121,17 +110,13 @@ def cmd_gbz(args) -> int:
 
 def _evolve_from_config(cfg):
     model = nio.model_from_config(cfg)
-    block = cfg.get("evolve", {})
-    horizon = _floats(block, "horizon", 20.0)
-    fs = _floats(block, "fs", 500.0)
-    site = int(block.get("poke_site", "20")) if block else 20
-    t = default_time_grid(horizon, fs) if horizon > 0 else np.array([0.0])
-    field = evolve(model, poke_state(model, site), t)
-    return model, field
+    block = cfg["evolve"]
+    horizon = block["horizon"]
+    t = default_time_grid(horizon, block["fs"]) if horizon > 0 else np.array([0.0])
+    return model, evolve(model, poke_state(model, block["poke_site"]), t)
 
 
-def cmd_evolve(args) -> int:
-    cfg = _merge_config(args)
+def cmd_evolve(args, cfg) -> int:
     model, field = _evolve_from_config(cfg)
     out = _outdir(args)
     trace = energy_trace(field)
@@ -140,10 +125,9 @@ def cmd_evolve(args) -> int:
         nio.write_energy_csv(out / "energy.csv", trace)
     nio.write_wavefield_npz(out / "wavefield.npz", field)
     # site-1 spectrogram of the synthesized carrier signal
-    stft_block = cfg.get("stft", {})
-    fs = _floats(cfg.get("evolve", {}), "fs", 500.0)
-    window = int(round(_floats(stft_block, "window_s", 2.0) * fs))
-    hop = max(1, int(round(_floats(stft_block, "hop_s", 0.1) * fs)))
+    fs = cfg["evolve"]["fs"]
+    window = int(round(cfg["stft"]["window_s"] * fs))
+    hop = max(1, int(round(cfg["stft"]["hop_s"] * fs)))
     sig = synthesize_signal(field)[:, 0]
     if len(sig) >= window:
         sg = stft(sig, fs=fs, window_len=window, hop=hop)
@@ -160,13 +144,9 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def cmd_project(args) -> int:
-    cfg = _merge_config(args)
+def cmd_project(args, cfg) -> int:
     model, field = _evolve_from_config(cfg)
-    block = cfg.get("gbz", {})
-    gbz_model = model.with_(gamma=0.0)
-    g = gbz_compute(gbz_model, method=block.get("method", "obc_fit"),
-                    n_sites=int(block.get("n_sites", "160")))
+    g = gbz_compute(model.with_(gamma=0.0), **cfg["gbz"])
     # decimate both coefficient sets to about 200 output times, keeping the
     # last one, which picks the dominant late mode
     last = len(field.times) - 1
@@ -195,20 +175,13 @@ def cmd_project(args) -> int:
     return 0
 
 
-def cmd_phase_diagram(args) -> int:
-    cfg = _merge_config(args)
-    block = cfg.get("phase_diagram")
-    if not block:
-        raise ConfigError("phase-diagram needs a [phase_diagram] section or preset")
-    model_block = cfg.get("model", {})
-    t1 = float(model_block.get("t1", "1"))
-    t2 = float(model_block.get("t2", "2"))
+def cmd_phase_diagram(args, cfg) -> int:
+    block = cfg["phase_diagram"]
     diagram = scan_phase_diagram(
-        t1, t2,
-        t3_range=(float(block["t3_min"]), float(block["t3_max"])),
-        t4_range=(float(block["t4_min"]), float(block["t4_max"])),
-        resolution=int(block["resolution"]),
-        n_cells=int(block.get("n_cells", "25")))
+        cfg["model"]["t1"], cfg["model"]["t2"],
+        t3_range=(block["t3_min"], block["t3_max"]),
+        t4_range=(block["t4_min"], block["t4_max"]),
+        resolution=block["resolution"], n_cells=block["n_cells"])
     out = _outdir(args)
     if args.format in ("csv", "both"):
         nio.write_phase_diagram_csv(out / "phase_diagram.csv", diagram)
@@ -223,22 +196,15 @@ def cmd_phase_diagram(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _merge_config(args)
-    block = cfg.get("sweep")
-    if not block:
-        raise ConfigError("sweep needs a [sweep] section or preset")
-    path = {"1": PATH1, "2": PATH2}.get(block.get("path", "1"))
-    if path is None:
-        raise ConfigError("[sweep] path must be 1 or 2")
-    horizon = _floats(block, "horizon", 80.0)
-    sweep = transition_sweep(path, int(block.get("samples", "13")),
-                             t_grid=default_time_grid(horizon),
-                             n_cells=int(block.get("n_cells", "10")))
+def cmd_sweep(args, cfg) -> int:
+    block = cfg["sweep"]
+    sweep = transition_sweep(block["path"], block["samples"],
+                             t_grid=default_time_grid(block["horizon"]),
+                             n_cells=block["n_cells"])
     out = _outdir(args)
     if args.format in ("csv", "both"):
         nio.write_csv(out / "sweep.csv", ["m", "t3", "t4", "lambda"],
-                      ((float(m), *map(float, path.hoppings(m)), float(l))
+                      ((float(m), *map(float, sweep.path.hoppings(m)), float(l))
                        for m, l in zip(sweep.m_values, sweep.growth_rates)))
         for m, tr in zip(sweep.m_values, sweep.traces):
             nio.write_energy_csv(out / f"energy_m{m:.3f}.csv", tr)
@@ -274,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command](args, _merge_config(args))
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

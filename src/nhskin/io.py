@@ -12,19 +12,22 @@ Wavefield ``.npz`` files are stored uncompressed, because ``zlib`` saves
 only about 3% on these complex arrays.
 SVG output is generated directly (no plotting dependency).
 The configuration format is INI-like: ``[section]`` headers and
-``key = value`` lines; unknown keys are rejected with the offending line
+``key = value`` lines.  ``CONFIG_SCHEMA`` gives every key its converter and
+its default, and each value is converted on the line that sets it; unknown
+keys and values that do not convert are rejected with the offending line
 number in the message.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
 from pathlib import Path
 
 import numpy as np
 
+from .analysis import PATH1, PATH2
 from .errors import ConfigError, ValidationError
+from .gbz import GbzMethod
 from .model import BC, Family, LatticeModel, make_model
 
 FLOAT_FMT = "%.17g"
@@ -251,95 +254,145 @@ def write_svg_scatter(path, x, y, title: str = "", unit_circle: bool = True) -> 
 
 # ------------------------------------------------------- config file parser
 
-#: allowed keys per section; the model block mirrors the LatticeModel schema
+#: the default of a key that must be set wherever a command reads it
+REQUIRED = object()
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+#: what a value that a converter rejects should have been
+_EXPECTED = {float: "a number", int: "an integer", _bool: "true or false"}
+
+#: every key per section as (type, default); a type is a converter of the
+#: key's text or a dict of its options.  The [model] and [gbz] keys are the
+#: parameter names of make_model and gbz_compute.
 CONFIG_SCHEMA = {
-    "model": {"family", "t1", "t2", "t3", "t4", "omega0", "gamma",
-              "n_cells", "bc", "nhssh_delta"},
-    "evolve": {"horizon", "fs", "poke_site"},
-    "gbz": {"method", "n_sites", "cross_check", "cross_tol"},
-    "stft": {"window_s", "hop_s"},
-    "phase_diagram": {"t3_min", "t3_max", "t4_min", "t4_max",
-                      "resolution", "n_cells"},
-    "sweep": {"path", "samples", "horizon", "n_cells"},
+    "model": {"family": ({f.value: f for f in Family}, REQUIRED),
+              "t1": (float, REQUIRED), "t2": (float, REQUIRED),
+              "t3": (float, REQUIRED), "t4": (float, REQUIRED),
+              "omega0": (float, 0.0), "gamma": (float, 0.0), "n_cells": (int, 10),
+              "bc": ({b.value: b for b in BC}, BC.OBC), "nhssh_delta": (float, None)},
+    "evolve": {"horizon": (float, 20.0), "fs": (float, 500.0), "poke_site": (int, 20)},
+    "gbz": {"method": ({m.value: m for m in GbzMethod}, GbzMethod.OBC_FIT),
+            "n_sites": (int, 160), "cross_check": (_bool, False),
+            "cross_tol": (float, 1e-3)},
+    "stft": {"window_s": (float, 2.0), "hop_s": (float, 0.1)},
+    "phase_diagram": {"t3_min": (float, REQUIRED), "t3_max": (float, REQUIRED),
+                      "t4_min": (float, REQUIRED), "t4_max": (float, REQUIRED),
+                      "resolution": (int, REQUIRED), "n_cells": (int, 25)},
+    "sweep": {"path": ({"1": PATH1, "2": PATH2}, PATH1), "samples": (int, 13),
+              "horizon": (float, 80.0), "n_cells": (int, 10)},
 }
 
-_MODEL_DEFAULTS = {"omega0": "0", "gamma": "0", "n_cells": "10", "bc": "OBC"}
+
+class Section(dict):
+    """The typed values of one config section.  ``where`` is what set them
+    last, the ``file:line`` of the section header or a preset, or None when
+    nothing did; reading an unset key raises :class:`ConfigError` naming it."""
+
+    def __init__(self, name: str, where: str | None, values=()):
+        super().__init__(values)
+        self.name = name
+        self.where = where
+
+    def __missing__(self, key):
+        missing = ", ".join([k for k, (_, default) in CONFIG_SCHEMA[self.name].items()
+                             if default is REQUIRED and k not in self] or [key])
+        if self.where is None:
+            raise ConfigError(f"config has no [{self.name}] section; it needs {missing}")
+        raise ConfigError(f"{self.where}: [{self.name}] is missing keys: {missing}")
 
 
-def parse_config(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
-    """Parse an INI-like config into {section: {key: value}}.
+def merge_config(*layers) -> dict[str, Section]:
+    """Every section holding the default of each key that has one, then
+    updated key by key by each layer of sections in turn."""
+    cfg = {name: Section(name, None, {k: default for k, (_, default) in keys.items()
+                                      if default is not REQUIRED})
+           for name, keys in CONFIG_SCHEMA.items()}
+    for layer in layers:
+        for name, section in layer.items():
+            cfg[name].update(section)
+            cfg[name].where = getattr(section, "where", "config")
+    return cfg
 
-    Raises :class:`ConfigError` with the line number for syntax errors,
-    unknown sections, unknown keys, and duplicate keys.
+
+def _convert(section: str, key: str, text: str, where: str):
+    if key not in CONFIG_SCHEMA[section]:
+        raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
+    kind = CONFIG_SCHEMA[section][key][0]
+    try:
+        return kind[text] if isinstance(kind, dict) else kind(text)
+    except (KeyError, ValueError):
+        expected = ("one of " + ", ".join(kind) if isinstance(kind, dict)
+                    else _EXPECTED[kind])
+        raise ConfigError(f"{where}: [{section}] {key} = {text!r} is not {expected}") from None
+
+
+def typed_config(blocks: dict[str, dict[str, str]], where: str) -> dict[str, Section]:
+    """{section: {key: text}}, each value converted as :func:`parse_config` does."""
+    return {name: Section(name, where, {key: _convert(name, key, text, where)
+                                        for key, text in values.items()})
+            for name, values in blocks.items()}
+
+
+def parse_config(text: str, source: str = "<config>") -> dict[str, Section]:
+    """Parse an INI-like config into {section: Section} of typed values.
+
+    Each value is converted by its key's schema entry on the line that sets
+    it.  Raises :class:`ConfigError` naming ``source:line`` for syntax
+    errors, unknown sections and keys, duplicates, and values that do not
+    convert.
     """
-    sections: dict[str, dict[str, str]] = {}
+    sections: dict[str, Section] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"{source}:{lineno}"
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in CONFIG_SCHEMA:
-                raise ConfigError(f"{source}:{lineno}: unknown section [{name}]")
+                raise ConfigError(f"{where}: unknown section [{name}]")
             if name in sections:
-                raise ConfigError(f"{source}:{lineno}: duplicate section [{name}]")
-            sections[name] = {}
-            current = name
+                raise ConfigError(f"{where}: duplicate section [{name}]")
+            current = sections[name] = Section(name, where)
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         if current is None:
-            raise ConfigError(f"{source}:{lineno}: key outside of any [section]")
+            raise ConfigError(f"{where}: key outside of any [section]")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_SCHEMA[current]:
-            raise ConfigError(
-                f"{source}:{lineno}: unknown key {key!r} in section [{current}]")
-        if key in sections[current]:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        sections[current][key] = value
+        if key in current:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        current[key] = _convert(current.name, key, value.strip(), where)
     return sections
 
 
-def load_config(path) -> dict[str, dict[str, str]]:
+def load_config(path) -> dict[str, Section]:
     path = Path(path)
     return parse_config(path.read_text(), source=str(path))
 
 
-def model_from_config(cfg: dict[str, dict[str, str]]) -> LatticeModel:
-    """Build a model from the [model] section, with documented defaults."""
-    if "model" not in cfg:
-        raise ConfigError("config has no [model] section")
-    block = dict(_MODEL_DEFAULTS)
-    block.update(cfg["model"])
-    missing = {"family", "t1", "t2", "t3", "t4"} - set(block)
-    if missing:
-        raise ConfigError(f"[model] is missing keys: {', '.join(sorted(missing))}")
-    try:
-        delta = block.get("nhssh_delta")
-        return make_model(block["family"], float(block["t1"]), float(block["t2"]),
-                          float(block["t3"]), float(block["t4"]),
-                          omega0=float(block["omega0"]), gamma=float(block["gamma"]),
-                          n_cells=int(block["n_cells"]), bc=block["bc"],
-                          nhssh_delta=None if delta is None else float(delta))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"[model] has an invalid value: {exc}") from exc
+def model_from_config(cfg: dict) -> LatticeModel:
+    """Build a model from the [model] section; each key it omits takes its
+    default."""
+    block = merge_config(cfg)["model"]
+    return make_model(**{key: block[key] for key in CONFIG_SCHEMA["model"]})
 
 
 def model_to_config(model: LatticeModel) -> str:
-    """Serialize a model back to the [model] block."""
-    lines = ["[model]",
-             f"family = {model.family.value}",
-             f"t1 = {FLOAT_FMT % model.t1}",
-             f"t2 = {FLOAT_FMT % model.t2}",
-             f"t3 = {FLOAT_FMT % model.t3}",
-             f"t4 = {FLOAT_FMT % model.t4}",
-             f"omega0 = {FLOAT_FMT % model.omega0}",
-             f"gamma = {FLOAT_FMT % model.gamma}",
-             f"n_cells = {model.n_cells}",
-             f"bc = {model.bc.value}"]
-    if model.nhssh_delta is not None:
-        lines.append(f"nhssh_delta = {FLOAT_FMT % model.nhssh_delta}")
+    """Serialize a model back to the [model] block, leaving out unset keys."""
+    lines = ["[model]"]
+    for key in CONFIG_SCHEMA["model"]:
+        value = getattr(model, key)
+        if isinstance(value, float):
+            lines.append(f"{key} = {FLOAT_FMT % value}")
+        elif value is not None:
+            lines.append(f"{key} = {getattr(value, 'value', value)}")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    source: str
     condition_number: float
     near_exceptional: bool
 
@@ -42,7 +41,7 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def eig_biorthogonal(H: np.ndarray, source: str = "matrix") -> Spectrum:
+def eig_biorthogonal(H: np.ndarray) -> Spectrum:
     """Dense biorthogonal eigendecomposition of a general complex matrix."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -64,13 +63,13 @@ def eig_biorthogonal(H: np.ndarray, source: str = "matrix") -> Spectrum:
         )
     # rows of inv(vr) are the (bra) left eigenvectors; store them as kets
     vl = np.linalg.inv(vr).conj().T
-    return Spectrum(w, vr, vl, source, float(cond), near_exc)
+    return Spectrum(w, vr, vl, float(cond), near_exc)
 
 
 def obc_spectrum(model: LatticeModel) -> Spectrum:
     """Eigensystem of the open chain (bc forced to OBC)."""
     H = real_space_hamiltonian(model.with_(bc=BC.OBC))
-    return eig_biorthogonal(H, source="OBC")
+    return eig_biorthogonal(H)
 
 
 def pbc_spectrum(model: LatticeModel, n_k: int = 50) -> Spectrum:
@@ -94,7 +93,7 @@ def pbc_spectrum(model: LatticeModel, n_k: int = 50) -> Spectrum:
     vr = np.concatenate(vrs, axis=1)
     vl = np.concatenate(vls, axis=1)
     order = np.lexsort((w.imag, w.real))
-    return Spectrum(w[order], vr[:, order], vl[:, order], "PBC",
+    return Spectrum(w[order], vr[:, order], vl[:, order],
                     float(np.linalg.cond(vr)), False)
 
 

@@ -175,6 +175,32 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, line", [
+    ("gbz", "[gbz]\nn_sites = abc\n", 2),
+    ("gbz", "[gbz]\nmethod = foo\n", 2),
+    ("gbz", "[gbz]\ncross_check = yes\n", 2),
+    ("evolve", "[evolve]\nhorizon = 1\nfs = x\n", 3),
+    ("phase-diagram", "# no t3_min\n[phase_diagram]\nt3_max = 6\nt4_min = 0.2\n"
+                      "t4_max = 6\nresolution = 4\n", 2),
+], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min"])
+def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
+                                                        text, line):
+    cfg = _write(tmp_path, "bad.cfg", text)
+    assert main([command, "--preset", "fig4a", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"bad.cfg:{line}: " in capsys.readouterr().err
+
+
+def test_project_runs_the_gbz_cross_check(tmp_path, capsys):
+    """project reads every [gbz] key: a tolerance far below the fig4a
+    mismatch of the two GBZ methods must fail the cross-check."""
+    cfg = _write(tmp_path, "run.cfg", "[evolve]\nhorizon = 1\nfs = 50\n\n"
+                 "[gbz]\ncross_check = true\ncross_tol = 1e-9\n")
+    assert main(["project", "--preset", "fig4a", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "GBZ methods disagree" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["spectrum", "--out", str(tmp_path)]) == 2
     assert "no configuration" in capsys.readouterr().err

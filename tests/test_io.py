@@ -1,7 +1,9 @@
 import csv
 import io
+import re
 import xml.etree.ElementTree as ET
 import zipfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhskin import ConfigError, ValidationError, obc_spectrum
+from nhskin import ConfigError, Family, GbzMethod, ValidationError, make_model, obc_spectrum
 from nhskin import io as nio
 from nhskin.analysis import Phase
-from nhskin.io import (FLOAT_FMT, load_config, model_from_config,
-                       model_to_config, parse_config, read_csv,
-                       read_wavefield_npz, write_coefficients_csv, write_csv,
+from nhskin.cli import main
+from nhskin.io import (CONFIG_SCHEMA, FLOAT_FMT, REQUIRED, load_config,
+                       model_from_config, model_to_config, parse_config, read_csv,
+                       read_wavefield_npz, typed_config, write_coefficients_csv, write_csv,
                        write_energy_csv, write_gbz_csv, write_phase_diagram_csv,
                        write_spectrogram_csv, write_spectrum_csv,
                        write_svg_heatmap, write_svg_scatter,
@@ -230,8 +233,53 @@ t4 = 4
 [evolve]
 horizon = 5
 """)
-    assert cfg["model"]["t3"] == "3"
-    assert cfg["evolve"]["horizon"] == "5"
+    assert cfg["model"]["family"] is Family.GT
+    assert cfg["model"]["t3"] == 3.0 and type(cfg["model"]["t3"]) is float
+    assert cfg["evolve"]["horizon"] == 5.0 and type(cfg["evolve"]["horizon"]) is float
+
+
+def test_parse_config_converts_each_type():
+    cfg = parse_config("[gbz]\nmethod = charpoly\nn_sites = 80\n"
+                       "cross_check = TRUE\ncross_tol = 1e-4\n")
+    assert cfg["gbz"] == {"method": GbzMethod.CHARPOLY, "n_sites": 80,
+                          "cross_check": True, "cross_tol": 1e-4}
+    with pytest.raises(ConfigError, match=r"<config>:2: \[model\] n_cells = '2.5' "
+                       "is not an integer"):
+        parse_config("[model]\nn_cells = 2.5\n")
+    with pytest.raises(ConfigError, match=r":3: \[model\] bc = 'obc' is not one of OBC, PBC"):
+        parse_config("[model]\nfamily = GT\nbc = obc\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_parses(tmp_path):
+    example = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    cfg = parse_config(example, source="README.md")
+    assert set(cfg) == set(CONFIG_SCHEMA)
+    assert model_from_config(cfg) == make_model(Family.GT, 2.1, 14.9, 11.2, 3.7,
+                                                omega0=86.5, gamma=2.8)
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_readme_key_table_matches_schema():
+    """Each row of the README's key table names a schema key and its default."""
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| [^|]+ \| ([^|]+) \|",
+                      README.read_text(), re.M)
+    table = {(section, key): default.strip() for section, key, default in rows}
+    assert set(table) == {(section, key) for section, keys in CONFIG_SCHEMA.items()
+                          for key in keys}
+    for (section, key), text in table.items():
+        default = CONFIG_SCHEMA[section][key][1]
+        if text == "required":
+            assert default is REQUIRED, key
+        elif text == "unset":
+            assert default is None, key
+        else:
+            value = typed_config({section: {key: text.strip("`")}}, "README.md")[section][key]
+            assert value == default, key
 
 
 def test_parse_config_unknown_key_is_line_anchored():

@@ -30,14 +30,6 @@ def test_run_spectra(tmp_path):
     assert [line.split(":")[0] for line in res.stdout.splitlines()] == list(tags)
 
 
-def test_run_phase_diagram(tmp_path):
-    res = _run("run_phase_diagram.py", "--out", str(tmp_path),
-               "--resolution", "4", "--n-cells", "8")
-    assert res.returncode == 0, res.stderr
-    assert _outputs(tmp_path) == {"phase_diagram.csv", "phase_diagram.svg"}
-    assert res.stdout.startswith("16 grid points: ")
-
-
 def test_run_transition_paths(tmp_path):
     res = _run("run_transition_paths.py", "--out", str(tmp_path), "--samples", "2",
                "--horizon", "4", "--fs", "20", "--energy-traces")
