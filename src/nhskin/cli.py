@@ -101,18 +101,15 @@ def cmd_gbz(args, cfg) -> int:
         touch_txt = f"touching point beta = {touch.real:.6g}{touch.imag:+.3g}j"
     except NumericalError:
         touch_txt = "no touching point"
-    brackets_txt = ("" if g.brackets is None else
-                    " ({} of {} brackets rejected)".format(*g.brackets))
     print(f"gbz: {len(g.betas)} points, direction = {sd.direction.value}, "
-          f"mean log|beta| = {sd.mean_log_modulus:.4g}, {touch_txt}{brackets_txt}")
+          f"mean log|beta| = {sd.mean_log_modulus:.4g}, {touch_txt}")
     return 0
 
 
 def _evolve_from_config(cfg):
     model = nio.model_from_config(cfg)
     block = cfg["evolve"]
-    horizon = block["horizon"]
-    t = default_time_grid(horizon, block["fs"]) if horizon > 0 else np.array([0.0])
+    t = default_time_grid(block["horizon"], block["fs"])
     return model, evolve(model, poke_state(model, block["poke_site"]), t)
 
 

@@ -145,6 +145,8 @@ def stft(signal: np.ndarray, fs: float = 500.0, window_len: int = 1000,
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 1:
         raise ValidationError("signal must be one-dimensional")
+    if window_len < 1:
+        raise ValidationError(f"window ({window_len} samples) must be >= 1 sample")
     if window_len > len(signal):
         raise ValidationError(
             f"window ({window_len}) longer than signal ({len(signal)})")

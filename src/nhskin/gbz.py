@@ -6,21 +6,20 @@ Two independent GBZ constructions are provided:
   eigenvalue E, the middle-modulus pair of characteristic roots beta
   (the pair that must degenerate in modulus in the thermodynamic limit),
   reported at their balanced radius.
-* ``charpoly`` never diagonalizes anything: along each ray beta = r e^{i theta}
-  it bisects, for each closed-form E^2 branch of H(beta), for the radius at
-  which the middle root pair of the characteristic polynomial has equal
-  modulus, and reports each point with both energies +-E.
+* ``charpoly`` never diagonalizes anything: it solves the auxiliary GBZ
+  (aGBZ; Yang, Zhang, Fang & Hu, PRL 125, 226402 (2020)), the roots beta of
+  the exact resultant polynomial that vanishes where beta and beta e^{i theta}
+  share an energy, by batched companion eigenvalues, and keeps the roots
+  that form the middle root pair with their partner (Yokomizo & Murakami,
+  PRL 123, 066404 (2019)).  Each point is reported with both energies +-E.
 
 Both read the characteristic polynomial beta^p det(H(beta) - E) from an exact
 table of its bivariate coefficients and solve it for beta in closed form
 (Ferrari for the double chain's quartic, the quadratic formula otherwise).
 
-Agreement of the two methods is the main internal consistency check.
-
-One helper, ``_ray_zeros``, finds every balanced radius: a coarse scan of
-one E^2 branch's balance per ray, then one batched bisection of all
-sign-change brackets.  The charpoly GBZ, the cross-check and the touching
-point all call it.
+Agreement of the two methods is the main internal consistency check: the
+cross-check solves the aGBZ at the phase difference of each sampled point's
+middle root pair and compares radii.
 
 The double chain has four bands that the combined glide/time-reversal
 symmetry groups into two pairs (E, -conj(E)); each pair traces one GBZ
@@ -35,6 +34,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.signal import convolve2d
 
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
@@ -59,9 +60,9 @@ class GBZ:
 
     ``chain_eigenvalues`` holds every OBC eigenvalue of the fitted chain
     (``obc_fit`` only), which :func:`gap_report` reuses for that chain.
-    ``brackets`` is (rejected, found) for the bisection brackets of
-    ``charpoly``, counted once per energy sign; its acceptance filter drops
-    band-crossing artifacts."""
+    ``charpoly`` points are the aGBZ roots that pass its middle-pair test,
+    at 60 phase differences theta, so they are spaced uniformly in theta,
+    not in arg(beta)."""
 
     betas: np.ndarray
     energies: np.ndarray
@@ -70,7 +71,6 @@ class GBZ:
     n_sites_used: int
     model: LatticeModel
     chain_eigenvalues: np.ndarray | None
-    brackets: tuple[int, int] | None = None
 
     def component(self, pair: int) -> np.ndarray:
         return self.betas[self.band_pair == pair]
@@ -137,12 +137,16 @@ def charpoly_coefficients(model: LatticeModel, E) -> np.ndarray:
     E = np.atleast_1d(np.asarray(E, dtype=complex))
     table = _charpoly_table(model)
     coeffs = np.vander(E, table.shape[1], increasing=True) @ table.T
-    scale = np.max(np.abs(coeffs), axis=1)
-    bad = (np.abs(coeffs[:, -1]) < 1e-12 * scale) | (np.abs(coeffs[:, 0]) < 1e-12 * scale)
-    if np.any(bad):
+    if np.any(_degree_collapsed(coeffs)):
         raise DegreeCollapseError(
             "characteristic polynomial lost degree (vanishing boundary hopping)")
     return coeffs
+
+
+def _degree_collapsed(coeffs: np.ndarray) -> np.ndarray:
+    """Rows whose leading or trailing coefficient vanishes against the rest."""
+    scale = np.max(np.abs(coeffs), axis=1)
+    return (np.abs(coeffs[:, -1]) < 1e-12 * scale) | (np.abs(coeffs[:, 0]) < 1e-12 * scale)
 
 
 def _quadratic_roots(b, c):
@@ -262,8 +266,8 @@ def _branch_energies(model: LatticeModel, betas) -> np.ndarray:
     and off-diagonal product u^2 / beta, so E^2 = m +- u / sqrt(beta); this
     keeps the split of the near-double E^2 near the touching point (u -> 0),
     which the quadratic formula on the charpoly table would cancel away.
-    Each column's E^2 is analytic along a ray of fixed arg(beta), so the
-    column is the label a bisection bracket follows (Hatano-Nelson: its band).
+    Each column's E^2 is analytic along a ray of fixed arg(beta), so a scan
+    along a ray can follow one column (Hatano-Nelson: its band).
     """
     b = np.atleast_1d(np.asarray(betas, dtype=complex))
     t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
@@ -286,8 +290,8 @@ def _cell_energy_sets(model: LatticeModel, betas) -> np.ndarray:
 
 def _balance(model: LatticeModel, betas: np.ndarray, branch) -> np.ndarray:
     """Middle-root balance g = log(|rho_a| |rho_b| / |beta|^2) at the energy
-    E_j(beta) of E^2 branch j = ``branch`` (one index per beta), where rho_a,
-    rho_b are the middle-modulus roots of det(H(beta') - E) = 0.
+    E_j(beta) of E^2 branch j = ``branch`` (one for all, or one per beta),
+    where rho_a, rho_b are the middle-modulus roots of det(H(beta') - E) = 0.
 
     g changes sign where beta lies on the continuum GBZ of branch j, for
     both energies +-E.  Only that branch's quartic is solved per beta.
@@ -298,59 +302,68 @@ def _balance(model: LatticeModel, betas: np.ndarray, branch) -> np.ndarray:
     return np.log(np.abs(roots[:, i]) * np.abs(roots[:, j]) / np.abs(betas) ** 2)
 
 
-def _bisect(g, lo, hi, glo, steps: int) -> np.ndarray:
-    """Geometric bisection of many sign-change brackets at once.
+def _agbz_table(model: LatticeModel) -> np.ndarray:
+    """Exact coefficients T[k, j] of sum T_kj beta^k w^j, the resultant in y
+    of the characteristic polynomial at beta and at beta w.
 
-    ``g(r, k)`` evaluates the function at radii ``r`` for the brackets with
-    indices ``k``; ``glo`` holds its values at ``lo``.  Each step moves ``lo``
-    where g(mid) has the sign of ``glo`` and ``hi`` otherwise; an exact zero
-    collapses the bracket onto it.  A bracket retires, and is no longer
-    evaluated, once it has collapsed or its midpoint rounds to an endpoint:
-    every further step would leave it unchanged.  Returns sqrt(lo * hi).
+    y is E^2 for the chiral families and E for Hatano-Nelson, so the
+    characteristic polynomial is sum_k a_k(beta) y^k of degree n = 1 or 2 in
+    y.  With m_ij = a_i(beta) a_j(beta w) - a_j(beta) a_i(beta w), the
+    determinant of the Bezout matrix gives the resultant m_01 (n = 1) or
+    m_01 m_12 - m_02^2 (n = 2).  It vanishes exactly where beta and beta w
+    share an energy.  Its power of beta is divided out, which leaves degree
+    8 for the double chain and 2 for the reference models.
     """
-    lo, hi, glo = (np.array(a, dtype=float) for a in (lo, hi, glo))
-    active = np.arange(len(lo))
-    for _ in range(steps):
-        mid = np.sqrt(lo[active] * hi[active])
-        moving = (mid != lo[active]) & (mid != hi[active])
-        active, mid = active[moving], mid[moving]
-        if len(active) == 0:
-            break
-        gm = g(mid, active)
-        zero = gm == 0.0
-        same = ~zero & (np.sign(gm) == np.sign(glo[active]))
-        lo[active[same]], glo[active[same]] = mid[same], gm[same]
-        hi[active[~same]] = mid[~same]
-        lo[active[zero]] = mid[zero]
-        active = active[~zero]
-    return np.sqrt(lo * hi)
+    c = _charpoly_table(model)
+    a = (c if model.family is Family.HATANO_NELSON else c[:, ::2]).T
+
+    def m(i, j):
+        return (convolve2d(a[i][:, None], np.diag(a[j]))
+                - convolve2d(a[j][:, None], np.diag(a[i])))
+    T = m(0, 1) if len(a) == 2 else convolve2d(m(0, 1), m(1, 2)) - convolve2d(m(0, 2), m(0, 2))
+    rows = np.flatnonzero(np.any(T != 0, axis=1))
+    return T[rows[0]:rows[-1] + 1]
 
 
-#: Quartics the coarse scan of :func:`_ray_zeros` solves at a time, so that
-#: the root-finding temporaries of a large grid of rays stay small.
-_SCAN_QUARTICS = 1024
+def _agbz_points(model: LatticeModel, w: np.ndarray):
+    """GBZ points among the aGBZ roots at each phase factor w = e^{i theta}.
 
+    The roots beta of the resultant :func:`_agbz_table` come from batched
+    companion eigenvalues.  Each takes the energy E of the E^2 branch it
+    shares with beta w, and is kept where beta and beta w are the middle
+    root pair of the characteristic polynomial at E: equal in modulus to
+    1e-6 and each within 1e-5 of one of the pair (relative to |beta|).
+    Roots with no usable E (the charpoly at E lost degree) are dropped.
+    Returns the index into ``w``, beta and E of each kept root, ordered by w."""
+    T = _agbz_table(model)
+    coeffs = np.vander(w, T.shape[1], increasing=True) @ T.T
+    d = coeffs.shape[1] - 1
+    comp = np.zeros((len(w), d, d), dtype=complex)
+    # at w = 1 the resultant vanishes: its all-zero row leaves beta = 0
+    np.divide(-coeffs[:, -2::-1], coeffs[:, -1:], out=comp[:, 0, :],
+              where=coeffs[:, -1:] != 0)
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    betas = np.linalg.eigvals(comp).ravel()
+    k = np.repeat(np.arange(len(w)), d)
+    shifted = betas * w[k]
+    with np.errstate(all="ignore"):
+        e, e_w = _branch_energies(model, betas), _branch_energies(model, shifted)
+        near = np.abs(e[:, :, None] ** 2 - e_w[:, None, :] ** 2).min(axis=2)
+        E = e[np.arange(len(betas)), np.argmin(near, axis=1)]
+        table = _charpoly_table(model)
+        cp = np.vander(E, table.shape[1], increasing=True) @ table.T
+        ok = np.all(np.isfinite(cp), axis=1) & ~_degree_collapsed(cp)
+    k, betas, shifted, E = k[ok], betas[ok], shifted[ok], E[ok]
+    roots = _roots_many(cp[ok])
+    i, j = _middle_pair_indices(roots.shape[1])
+    r = np.abs(betas)
 
-def _ray_zeros(model: LatticeModel, phases: np.ndarray, branches: np.ndarray, rs):
-    """Balance zeros of one E^2 branch along each ray beta = r * phase.
-
-    Ray k follows branch ``branches[k]``.  ``rs`` is the coarse grid of
-    radii, shared by all rays (shape (n_r,)) or one row per ray (n, n_r).
-    Every sign change of the balance on that grid is one bracket, and all
-    brackets are bisected together down to the ulp.  Returns the ray index
-    and the radius of each zero, ordered by ray, then by radius.
-    """
-    rs = np.broadcast_to(rs, (len(phases), np.shape(rs)[-1]))
-    n_r = rs.shape[1]
-    step = max(1, _SCAN_QUARTICS // n_r)
-    g = np.concatenate([
-        _balance(model, (rs[a:a + step] * phases[a:a + step, None]).ravel(),
-                 np.repeat(branches[a:a + step], n_r)).reshape(-1, n_r)
-        for a in range(0, len(phases), step)])
-    ray, idx = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
-    r = _bisect(lambda r, k: _balance(model, r * phases[ray[k]], branches[ray[k]]),
-                rs[ray, idx], rs[ray, idx + 1], g[ray, idx], 80)
-    return ray, r
+    def close(x, y):
+        return np.abs(x - y) < 1e-5 * r
+    keep = ((np.abs(np.abs(roots[:, i]) - np.abs(roots[:, j])) < 1e-6 * r)
+            & ((close(roots[:, i], betas) & close(roots[:, j], shifted))
+               | (close(roots[:, j], betas) & close(roots[:, i], shifted))))
+    return k[keep], betas[keep], E[keep]
 
 
 def _band_pairs(model: LatticeModel, betas: np.ndarray, energies: np.ndarray) -> np.ndarray:
@@ -413,34 +426,18 @@ def _obc_fit_gbz(model: LatticeModel, n_sites: int):
     return betas, energies, w
 
 
-def _charpoly_gbz(model: LatticeModel, n_theta: int = 120):
-    """Continuum GBZ by radial bisection of the middle-root-pair modulus
-    balance along rays in the beta plane, one bracket per sign change of
-    each (ray, E^2 branch) on 60 radii from 0.02 to 50.
+def _charpoly_gbz(model: LatticeModel, n_theta: int = 60):
+    """Continuum GBZ as the GBZ points of the aGBZ at the n_theta phase
+    factors w = e^{i theta}, theta = 2 pi (k + 1/2) / n_theta, which keep
+    clear of w = 1, where the resultant vanishes identically.
 
-    Returns the accepted points (betas, energies) and the number of
-    bisected brackets, of which the acceptance filter may reject some.  A
-    chiral point is reported twice, as (beta, E) and (beta, -E), and a
-    bracket counts once per sign."""
-    n_branch = _branch_energies(model, 1.0).shape[1]
-    # one row per (ray, branch), so zeros come ordered by ray, branch, radius
-    phases = np.repeat(np.exp(1j * np.linspace(0, 2 * np.pi, n_theta, endpoint=False)),
-                       n_branch)
-    branches = np.tile(np.arange(n_branch), n_theta)
-    k, r = _ray_zeros(model, phases, branches, np.geomspace(0.02, 50.0, 60))
-    betas = r * phases[k]
-    energies = _branch_energies(model, betas)[np.arange(len(betas)), branches[k]]
-    roots = _roots_many(charpoly_coefficients(model, energies))
-    i, j = _middle_pair_indices(roots.shape[1])
-    # keep only genuine balance points where beta is itself a middle root
-    # (discards band-crossing artifacts)
-    keep = ((np.abs(np.abs(roots[:, i]) - np.abs(roots[:, j])) < 1e-6 * r)
-            & (np.minimum(np.abs(roots[:, i] - betas), np.abs(roots[:, j] - betas))
-               < 1e-5 * r))
+    Returns the points (betas, energies); a chiral point is reported twice,
+    as (beta, E) and (beta, -E)."""
+    _, betas, energies = _agbz_points(
+        model, np.exp(2j * np.pi * (np.arange(n_theta) + 0.5) / n_theta))
     if model.family is Family.HATANO_NELSON:
-        return betas[keep], energies[keep], len(r)
-    e = energies[keep]
-    return np.repeat(betas[keep], 2), np.stack([e, -e], axis=1).ravel(), 2 * len(r)
+        return betas, energies
+    return np.repeat(betas, 2), np.stack([energies, -energies], axis=1).ravel()
 
 
 def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 160,
@@ -457,28 +454,23 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
         raise ValidationError(f"n_sites must be a multiple of {s} and >= {4 * s}")
     if method is GbzMethod.OBC_FIT:
         betas, energies, chain_eigenvalues = _obc_fit_gbz(model, n_sites)
-        brackets = None
     else:
-        betas, energies, found = _charpoly_gbz(model)
+        betas, energies = _charpoly_gbz(model)
         chain_eigenvalues = None
-        brackets = (found - len(betas), found)
     if len(betas) == 0:
         raise ValidationError("no GBZ points found")
     band_pair = _band_pairs(model, betas, energies)
-    out = GBZ(betas, energies, band_pair, method, n_sites, model, chain_eigenvalues,
-              brackets)
+    out = GBZ(betas, energies, band_pair, method, n_sites, model, chain_eigenvalues)
     if cross_check:
-        if method is not GbzMethod.OBC_FIT:
-            ref = gbz_compute(model, GbzMethod.OBC_FIT, n_sites)
-        else:
-            ref = out
+        ref = (out if method is GbzMethod.OBC_FIT
+               else gbz_compute(model, GbzMethod.OBC_FIT, n_sites))
         rng = np.random.default_rng(0)
         idx = rng.choice(len(ref.betas), size=min(48, len(ref.betas)), replace=False)
         b = ref.betas[idx]
         r = _radial_refine_many(model, b, ref.energies[idx])
         found = ~np.isnan(r)
         errs = np.abs(r[found] - np.abs(b[found])) / np.abs(b[found])
-        counted = f"({int(found.sum())} of {len(idx)} sampled points bracketed)"
+        counted = f"({int(found.sum())} of {len(idx)} sampled points compared)"
         if len(errs) == 0:
             raise CrossValidationError(
                 f"GBZ cross-check found no comparable points {counted}")
@@ -494,35 +486,41 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
 
 def _radial_refine_many(model: LatticeModel, betas: np.ndarray,
                         energies: np.ndarray) -> np.ndarray:
-    """Continuum GBZ radius on the ray through each ``beta``, for the E^2
-    branch whose E^2 at that beta lies nearest the paired E^2; NaN where no
-    balance zero of that branch is bracketed in [0.8, 1.25] |beta|."""
-    E2 = _branch_energies(model, betas) ** 2
-    branch = np.argmin(np.abs(E2 - energies[:, None] ** 2), axis=1)
-    k, r = _ray_zeros(model, np.exp(1j * np.angle(betas)), branch,
-                      np.abs(betas)[:, None] * [0.8, 1.25])
+    """Continuum GBZ radius near each ``beta``: the modulus of the GBZ point
+    nearest it among the aGBZ roots at the phase difference w of the middle
+    root pair at its energy; NaN where that w has no GBZ point."""
+    roots = _roots_many(charpoly_coefficients(model, energies))
+    i, j = _middle_pair_indices(roots.shape[1])
+    own = np.abs(roots[:, i] - betas) <= np.abs(roots[:, j] - betas)
+    w = np.where(own, roots[:, j] / roots[:, i], roots[:, i] / roots[:, j])
+    k, b, _ = _agbz_points(model, w / np.abs(w))
+    # the first root of each point once sorted by point, then by distance
+    order = np.lexsort((np.abs(b - betas[k]), k))
+    k, b = k[order], b[order]
+    first = np.unique(k, return_index=True)[1]
     out = np.full(len(betas), np.nan)
-    out[k] = r
+    out[k[first]] = np.abs(b[first])
     return out
 
 
 def _real_axis_crossing(model: LatticeModel, r_lo: float, r_hi: float) -> float | None:
     """Radius of the first balance zero on the negative real axis between
-    ``r_lo`` and ``r_hi``, or None when no sign change is bracketed or the
-    zero does not balance every E^2 branch.
+    ``r_lo`` and ``r_hi``, or None when no sign change is bracketed on 80
+    radii or the zero does not balance every E^2 branch.
 
     There the E^2 branches are complex conjugates (the symmetry quadruple
-    {+-a +- ib}), so their balances agree and branch 0 is bisected alone."""
-    _, r = _ray_zeros(model, np.array([-1.0 + 0j]), np.array([0]),
-                      np.geomspace(r_lo, r_hi, 80))
-    if len(r) == 0:
+    {+-a +- ib}), so their balances agree and branch 0 is refined alone."""
+    rs = np.geomspace(r_lo, r_hi, 80)
+    g = _balance(model, -rs, 0)
+    idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
+    if len(idx) == 0:
         return None
+    r = brentq(lambda x: _balance(model, np.array([-x]), 0)[0], rs[idx[0]], rs[idx[0] + 1])
     n_branch = _branch_energies(model, 1.0).shape[1]
-    g = _balance(model, np.full(n_branch, -r[0]), np.arange(n_branch))
     # a genuine touching point balances every branch at once
-    if np.max(np.abs(g)) > 1e-6:
+    if np.max(np.abs(_balance(model, np.full(n_branch, -r), np.arange(n_branch)))) > 1e-6:
         return None
-    return float(r[0])
+    return r
 
 
 def gbz_touching_point(gbz: GBZ, tol: float | None = None) -> complex:

@@ -264,8 +264,23 @@ def _bool(text: str) -> bool:
     return text.lower() == "true"
 
 
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < np.inf:
+        raise ValueError(text)
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _nonnegative(text)
+    if value == 0:
+        raise ValueError(text)
+    return value
+
+
 #: what a value that a converter rejects should have been
-_EXPECTED = {float: "a number", int: "an integer", _bool: "true or false"}
+_EXPECTED = {float: "a number", int: "an integer", _bool: "true or false",
+             _nonnegative: "a finite number >= 0", _positive: "a finite number > 0"}
 
 #: every key per section as (type, default); a type is a converter of the
 #: key's text or a dict of its options.  The [model] and [gbz] keys are the
@@ -276,16 +291,17 @@ CONFIG_SCHEMA = {
               "t3": (float, REQUIRED), "t4": (float, REQUIRED),
               "omega0": (float, 0.0), "gamma": (float, 0.0), "n_cells": (int, 10),
               "bc": ({b.value: b for b in BC}, BC.OBC), "nhssh_delta": (float, None)},
-    "evolve": {"horizon": (float, 20.0), "fs": (float, 500.0), "poke_site": (int, 20)},
+    "evolve": {"horizon": (_nonnegative, 20.0), "fs": (_positive, 500.0),
+               "poke_site": (int, 20)},
     "gbz": {"method": ({m.value: m for m in GbzMethod}, GbzMethod.OBC_FIT),
             "n_sites": (int, 160), "cross_check": (_bool, False),
-            "cross_tol": (float, 1e-3)},
-    "stft": {"window_s": (float, 2.0), "hop_s": (float, 0.1)},
+            "cross_tol": (_positive, 1e-3)},
+    "stft": {"window_s": (_positive, 2.0), "hop_s": (_positive, 0.1)},
     "phase_diagram": {"t3_min": (float, REQUIRED), "t3_max": (float, REQUIRED),
                       "t4_min": (float, REQUIRED), "t4_max": (float, REQUIRED),
                       "resolution": (int, REQUIRED), "n_cells": (int, 25)},
     "sweep": {"path": ({"1": PATH1, "2": PATH2}, PATH1), "samples": (int, 13),
-              "horizon": (float, 80.0), "n_cells": (int, 10)},
+              "horizon": (_positive, 80.0), "n_cells": (int, 10)},
 }
 
 

@@ -233,7 +233,7 @@ def test_sweep_growth_rate_tracks_spectrum():
         assert lam == pytest.approx(target, rel=0.02)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "growth_rate fits the slope of log P over the last 20 s; the beat of the "
     "leading mode pair (E, -E*), with a period of 18-48 s on fig5i, biases "
     "it: lambda(1.571) = 0.415 against 2 max Im E_OBC = 0.656"))

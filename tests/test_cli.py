@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -47,18 +45,13 @@ def test_gbz_preset_both_formats(tmp_path, capsys):
     assert (tmp_path / "gbz.svg").exists()
 
 
-def test_gbz_charpoly_reports_rejected_brackets(tmp_path, capsys):
+def test_gbz_charpoly_summary_line(tmp_path, capsys):
     cfg = _write(tmp_path, "cp.cfg", "[gbz]\nmethod = charpoly\n")
     assert main(["gbz", "--preset", "fig4e", "--config", cfg,
                  "--out", str(tmp_path / "cp")]) == 0
-    out = capsys.readouterr().out
-    m = re.search(r"gbz: (\d+) points, .*\((\d+) of (\d+) brackets rejected\)$",
-                  out.strip())
-    assert m, out
-    points, rejected, found = map(int, m.groups())
-    assert points + rejected == found
-    assert main(["gbz", "--preset", "fig4e", "--out", str(tmp_path / "fit")]) == 0
-    assert "brackets" not in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "gbz: 480 points, direction = Left, mean log|beta| = -0.4178, "
+        "touching point beta = -0.721256+0j\n")
 
 
 def test_evolve_writes_artifacts(tmp_path):
@@ -175,20 +168,28 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, text, line", [
-    ("gbz", "[gbz]\nn_sites = abc\n", 2),
-    ("gbz", "[gbz]\nmethod = foo\n", 2),
-    ("gbz", "[gbz]\ncross_check = yes\n", 2),
-    ("evolve", "[evolve]\nhorizon = 1\nfs = x\n", 3),
+@pytest.mark.parametrize("command, text, where", [
+    ("gbz", "[gbz]\nn_sites = abc\n", "bad.cfg:2: "),
+    ("gbz", "[gbz]\nmethod = foo\n", "bad.cfg:2: "),
+    ("gbz", "[gbz]\ncross_check = yes\n", "bad.cfg:2: "),
+    ("evolve", "[evolve]\nhorizon = 1\nfs = x\n", "bad.cfg:3: "),
     ("phase-diagram", "# no t3_min\n[phase_diagram]\nt3_max = 6\nt4_min = 0.2\n"
-                      "t4_max = 6\nresolution = 4\n", 2),
-], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min"])
+                      "t4_max = 6\nresolution = 4\n", "bad.cfg:2: "),
+    ("evolve", "[evolve]\nhorizon = -5\n", "bad.cfg:2: "),
+    ("evolve", "[evolve]\nhorizon = nan\n", "bad.cfg:2: "),
+    ("evolve", "[evolve]\nhorizon = 1\nfs = 0\n", "bad.cfg:3: "),
+    ("gbz", "[gbz]\ncross_check = true\ncross_tol = -1\n", "bad.cfg:3: "),
+    # two keys set the window length, so no single line is at fault
+    ("evolve", "[evolve]\nhorizon = 1\nfs = 100\n[stft]\nwindow_s = 0.001\n",
+     "window (0 samples) must be >= 1 sample"),
+], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min", "horizon_negative",
+        "horizon_nan", "fs_zero", "cross_tol_negative", "window_below_one_sample"])
 def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
-                                                        text, line):
+                                                        text, where):
     cfg = _write(tmp_path, "bad.cfg", text)
     assert main([command, "--preset", "fig4a", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 2
-    assert f"bad.cfg:{line}: " in capsys.readouterr().err
+    assert where in capsys.readouterr().err
 
 
 def test_project_runs_the_gbz_cross_check(tmp_path, capsys):

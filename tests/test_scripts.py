@@ -29,12 +29,3 @@ def test_run_spectra(tmp_path):
                                   for tag in tags for ext in ("csv", "svg")}
     assert [line.split(":")[0] for line in res.stdout.splitlines()] == list(tags)
 
-
-def test_run_transition_paths(tmp_path):
-    res = _run("run_transition_paths.py", "--out", str(tmp_path), "--samples", "2",
-               "--horizon", "4", "--fs", "20", "--energy-traces")
-    assert res.returncode == 0, res.stderr
-    assert _outputs(tmp_path) == {
-        "sweep_path1.csv", "sweep_path2.csv",
-        "energy_path1_m0.000.csv", "energy_path1_m1.450.csv",
-        "energy_path2_m0.000.csv", "energy_path2_m2.900.csv"}
