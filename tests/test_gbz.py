@@ -145,7 +145,7 @@ def test_batched_charpoly_gbz_matches_per_ray_bisection(family, hops):
     assert d.min(axis=0).max() <= 1e-10
     np.testing.assert_allclose(ref_e[np.argmin(d, axis=0)] ** 2, energies ** 2, rtol=1e-9)
     # and the cross-check returns the radius of every zero on rays off the
-    # real axis (there a band-edge point pairs with itself, w = 1)
+    # real axis (there the middle pair is a double root, w = 1)
     ref_b, ref_e = _charpoly_gbz_per_ray(m, 2 * np.pi * (np.arange(8) + 0.5) / 8)
     r = _radial_refine_many(m, ref_b, ref_e)
     assert np.max(np.abs(r - np.abs(ref_b)) / np.abs(ref_b)) <= 1e-10
