@@ -55,12 +55,12 @@ class PhaseLabel:
 
 @dataclass(frozen=True)
 class GbzProjection:
-    """Laplace-transform coefficients C[time, gbz_point, mode], with the cell
-    energies E[gbz_point, mode] of the modes in the same column order."""
+    """Laplace-transform coefficients C[time, gbz_point, mode], scaled to a
+    peak |C| of 1 at every time, with the cell energies E[gbz_point, mode]
+    of the modes in the same column order."""
 
     times: np.ndarray
     coefficients: np.ndarray
-    normalized: bool
     gbz: GBZ
     cell_energies: np.ndarray
 
@@ -133,35 +133,27 @@ class TransitionSweep:
     growth_rates: np.ndarray
 
 
-def laplace_projection(field: WaveField, gbz: GBZ, normalized: bool = True) -> GbzProjection:
+def laplace_projection(field: WaveField, gbz: GBZ) -> GbzProjection:
     """Project a wavefield onto the GBZ via a discrete Laplace transform.
 
     For each beta on the GBZ, Psi_a(t, beta) = sum_{x=1..N} psi_a(t, x) beta^{-x}
     over unit cells x, component-wise in the sublattice index a; the
     coefficients are C_j(t, beta) = <phi_L,j(beta) | Psi(t, beta)> with the
-    left eigenvectors of the cell Hamiltonian at beta.  With ``normalized``
-    the maximum |C| over (point, mode) is scaled to 1 at every instant.
+    left eigenvectors of the cell Hamiltonian at beta, all cells solved as one
+    stack.  The maximum |C| over (point, mode) is scaled to 1 at every time.
     """
     if field.model.with_(bc=BC.OBC, gamma=0.0) != gbz.model.with_(
             bc=BC.OBC, gamma=0.0, n_cells=field.model.n_cells):
         raise ValidationError("field and GBZ come from different models")
-    s = field.model.sites_per_cell
     N = field.model.n_cells
-    psi = field.amplitudes.reshape(len(field.times), N, s)
-    x = np.arange(1, N + 1)
-    C = np.empty((len(field.times), len(gbz.betas), s), dtype=complex)
-    W = np.empty((len(gbz.betas), s), dtype=complex)
-    cells = non_bloch_hamiltonians(gbz.model, gbz.betas)
-    for p, beta in enumerate(gbz.betas):
-        weights = beta ** (-x.astype(float))
-        Psi = np.tensordot(psi, weights, axes=([1], [0]))   # (T, s)
-        cell = eig_biorthogonal(cells[p])
-        C[:, p, :] = Psi @ cell.left_vectors.conj()
-        W[p] = cell.eigenvalues
-    if normalized:
-        peak = np.max(np.abs(C), axis=(1, 2), keepdims=True)
-        C = C / np.where(peak > 0, peak, 1.0)
-    return GbzProjection(field.times, C, normalized, gbz, W)
+    psi = field.amplitudes.reshape(len(field.times), N, field.model.sites_per_cell)
+    weights = gbz.betas[None, :] ** -np.arange(1.0, N + 1)[:, None]   # (N, P)
+    cells = eig_biorthogonal(non_bloch_hamiltonians(gbz.model, gbz.betas))
+    Psi = np.tensordot(weights, psi, axes=([0], [1]))                 # (P, T, s)
+    C = (Psi @ cells.left_vectors.conj()).swapaxes(0, 1)
+    peak = np.max(np.abs(C), axis=(1, 2), keepdims=True)
+    C = C / np.where(peak > 0, peak, 1.0)
+    return GbzProjection(field.times, C, gbz, cells.eigenvalues)
 
 
 def obc_decomposition(field: WaveField, spectrum: Spectrum | None = None) -> ModeDecomposition:

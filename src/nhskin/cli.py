@@ -124,7 +124,7 @@ def cmd_evolve(args, cfg) -> int:
     # site-1 spectrogram of the synthesized carrier signal
     fs = cfg["evolve"]["fs"]
     window = int(round(cfg["stft"]["window_s"] * fs))
-    hop = max(1, int(round(cfg["stft"]["hop_s"] * fs)))
+    hop = int(round(cfg["stft"]["hop_s"] * fs))
     sig = synthesize_signal(field)[:, 0]
     if len(sig) >= window:
         sg = stft(sig, fs=fs, window_len=window, hop=hop)

@@ -151,7 +151,7 @@ def stft(signal: np.ndarray, fs: float = 500.0, window_len: int = 1000,
         raise ValidationError(
             f"window ({window_len}) longer than signal ({len(signal)})")
     if hop < 1:
-        raise ValidationError("hop must be >= 1 sample")
+        raise ValidationError(f"hop ({hop} samples) must be >= 1 sample")
     win = scipy.signal.windows.hann(window_len, sym=False)
     sft = scipy.signal.ShortTimeFFT(win, hop=hop, fs=fs, scale_to="magnitude")
     S = sft.stft(signal)

@@ -40,6 +40,7 @@ from scipy.signal import convolve2d
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
 from .model import BC, Family, LatticeModel, real_space_hamiltonian
+from .spectral import real_if_exact
 
 
 class GbzMethod(str, Enum):
@@ -390,15 +391,10 @@ def _fit_chain(model: LatticeModel, n_sites: int) -> LatticeModel:
 
 
 def _chain_eigenvalues(model: LatticeModel, n_sites: int) -> np.ndarray:
-    """Eigenvalues of the undamped open chain of ``n_sites`` sites.
-
-    Without damping the chain of every family is real, and a real array
-    lets LAPACK run its real solver (dgeev): faster than the complex one,
-    and its real eigenvalues come out exactly real."""
+    """Eigenvalues of the undamped open chain of ``n_sites`` sites, which is
+    real for every family and so is solved in real arithmetic."""
     H = real_space_hamiltonian(_fit_chain(model, n_sites))
-    if not np.any(H.imag):
-        H = H.real
-    return np.linalg.eigvals(H).astype(complex, copy=False)
+    return np.linalg.eigvals(real_if_exact(H)).astype(complex, copy=False)
 
 
 def _obc_fit_gbz(model: LatticeModel, n_sites: int):

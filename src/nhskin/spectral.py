@@ -1,9 +1,10 @@
 """Biorthogonal eigensystems and OBC/PBC spectra.
 
-Left eigenvectors are taken as the rows of the inverse right-eigenvector
-matrix, so the biorthogonality <phi_L,i | phi_R,j> = delta_ij holds to the
-accuracy of one linear solve.  Near-exceptional matrices (ill-conditioned
-eigenvector basis) are flagged rather than rejected.
+One matrix or a stack (..., n, n) is solved in one batched call, in real
+arithmetic when it has no imaginary part.  Left eigenvectors are the rows of
+the inverse right-eigenvector matrix, so <phi_L,i | phi_R,j> = delta_ij holds
+to the accuracy of one linear solve.  Near-exceptional matrices
+(ill-conditioned eigenvector basis) are flagged rather than rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import ValidationError
-from .model import BC, LatticeModel, real_space_hamiltonian, bloch_hamiltonian
+from .model import BC, LatticeModel, non_bloch_hamiltonians, real_space_hamiltonian
 
 #: eigenvector-matrix condition number above which a spectrum is flagged
 NEAR_EXCEPTIONAL_COND = 1e8
@@ -27,74 +28,79 @@ class Spectrum:
     """Eigenvalues with paired right/left eigenvectors (columns).
 
     ``left_vectors[:, i].conj() @ right_vectors[:, j] == delta_ij`` after
-    normalization.  Eigenvalues are sorted by ascending Re, ties by Im.
+    normalization.  Eigenvalues are sorted by ascending Re, ties by Im.  A
+    stack of matrices adds its leading axes, also to the condition number.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    condition_number: float
-    near_exceptional: bool
+    condition_number: float | np.ndarray
+
+    @property
+    def near_exceptional(self):
+        return self.condition_number > NEAR_EXCEPTIONAL_COND
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
+
+
+def real_if_exact(H: np.ndarray) -> np.ndarray:
+    """``H.real`` when H has no imaginary part, else H: LAPACK's real solver
+    is faster than the complex one and returns real eigenvalues as exactly real."""
+    return H if np.any(H.imag) else H.real
 
 
 def eig_biorthogonal(H: np.ndarray) -> Spectrum:
-    """Dense biorthogonal eigendecomposition of a general complex matrix."""
+    """Dense biorthogonal eigendecomposition of a general complex matrix or of
+    a stack (..., n, n) of them; warns once, with the largest condition
+    number, if any of them is near-exceptional."""
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise ValidationError(f"H must be square, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise ValidationError("H has non-finite entries")
-    w, vr = scipy.linalg.eig(H)
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    vr = vr[:, order]
+    w, vr = scipy.linalg.eig(real_if_exact(H))
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    vr = np.take_along_axis(vr, order[..., None, :], axis=-1).astype(complex, copy=False)
     cond = np.linalg.cond(vr)
-    near_exc = bool(cond > NEAR_EXCEPTIONAL_COND)
-    if near_exc:
-        warnings.warn(
-            f"near-exceptional spectrum: eigenvector condition number {cond:.3g}; "
-            "biorthogonal quantities have degraded accuracy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    worst = np.max(cond, initial=0.0)
+    if worst > NEAR_EXCEPTIONAL_COND:
+        warnings.warn(f"near-exceptional spectrum: eigenvector condition number "
+                      f"{worst:.3g}; biorthogonal quantities have degraded accuracy",
+                      RuntimeWarning, stacklevel=2)
     # rows of inv(vr) are the (bra) left eigenvectors; store them as kets
-    vl = np.linalg.inv(vr).conj().T
-    return Spectrum(w, vr, vl, float(cond), near_exc)
+    vl = np.linalg.inv(vr).conj().swapaxes(-1, -2)
+    return Spectrum(w, vr, vl, cond)
 
 
 def obc_spectrum(model: LatticeModel) -> Spectrum:
     """Eigensystem of the open chain (bc forced to OBC)."""
-    H = real_space_hamiltonian(model.with_(bc=BC.OBC))
-    return eig_biorthogonal(H)
+    return eig_biorthogonal(real_space_hamiltonian(model.with_(bc=BC.OBC)))
 
 
 def pbc_spectrum(model: LatticeModel, n_k: int = 50) -> Spectrum:
     """Union of Bloch eigenvalues over k = 2*pi*m/n_k, shifted by -i*gamma.
 
     Eigenvectors are the full-lattice Bloch waves on n_k cells, which keeps
-    the biorthogonality contract across the whole set.
+    the biorthogonality contract across the whole set.  Their matrix is a
+    unitary Fourier factor times the block diagonal of the cell eigenvector
+    matrices, so it has the singular values of all the cells.
     """
     if n_k < 1:
         raise ValidationError("n_k must be >= 1")
-    s = model.sites_per_cell
-    ws, vrs, vls = [], [], []
-    for m in range(n_k):
-        k = 2 * np.pi * m / n_k
-        cell = eig_biorthogonal(bloch_hamiltonian(model, k))
-        phase = np.exp(1j * k * np.arange(n_k)) / np.sqrt(n_k)
-        ws.append(cell.eigenvalues - 1j * model.gamma)
-        vrs.append(np.kron(phase[:, None], cell.right_vectors))
-        vls.append(np.kron(phase[:, None], cell.left_vectors))
-    w = np.concatenate(ws)
-    vr = np.concatenate(vrs, axis=1)
-    vl = np.concatenate(vls, axis=1)
+    k = 2 * np.pi * np.arange(n_k) / n_k
+    cells = eig_biorthogonal(non_bloch_hamiltonians(model, np.exp(1j * k)))
+    w = (cells.eigenvalues - 1j * model.gamma).ravel()
+    waves = np.exp(1j * np.outer(np.arange(n_k), k)) / np.sqrt(n_k)
+    # column (m, j) is the Bloch wave of cell eigenvector j at k_m
+    vr, vl = np.einsum("xm,vmaj->vxamj", waves, np.stack(
+        [cells.right_vectors, cells.left_vectors])).reshape(2, w.size, w.size)
+    sv = np.linalg.svd(cells.right_vectors, compute_uv=False)
     order = np.lexsort((w.imag, w.real))
-    return Spectrum(w[order], vr[:, order], vl[:, order],
-                    float(np.linalg.cond(vr)), False)
+    return Spectrum(w[order], vr[:, order], vl[:, order], sv.max() / sv.min())
 
 
 def spectral_radius(spec: Spectrum) -> float:

@@ -75,6 +75,10 @@ def test_criterion_3_phase_c_real_spectrum(_verdict_printer):
     _report(_verdict_printer, 3, ok, f"max|Im E| / max|Re E| = {ratio:.2e} < 1e-6")
 
 
+# one of the 50 random chains is near-exceptional; its spectrum still mirrors
+@pytest.mark.filterwarnings(
+    r"ignore:near-exceptional spectrum. eigenvector condition number 2\.72e\+10; "
+    r"biorthogonal quantities have degraded accuracy$:RuntimeWarning")
 def test_criterion_4_gt_spectral_mirror_symmetry(_verdict_printer):
     rng = np.random.default_rng(12345)
     worst = 0.0

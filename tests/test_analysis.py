@@ -38,7 +38,7 @@ def test_projection_peaks_on_synthetic_bloch_state(model_a, gbz_a):
     x = np.arange(1, m.n_cells + 1)
     psi = (beta0 ** x[:, None] * v[None, :]).ravel()
     field = WaveField(np.array([0.0]), psi[None, :], m)
-    proj = laplace_projection(field, gbz_a, normalized=True)
+    proj = laplace_projection(field, gbz_a)
     mag = np.max(np.abs(proj.coefficients[0]), axis=1)
     peak_beta = gbz_a.betas[int(np.argmax(mag))]
     assert abs(peak_beta - beta0) < 0.05 * abs(beta0)
@@ -46,7 +46,7 @@ def test_projection_peaks_on_synthetic_bloch_state(model_a, gbz_a):
 
 
 def test_projection_normalization(field_a, gbz_a):
-    proj = laplace_projection(field_a, gbz_a, normalized=True)
+    proj = laplace_projection(field_a, gbz_a)
     peaks = np.max(np.abs(proj.coefficients), axis=(1, 2))
     assert np.allclose(peaks, 1.0, atol=1e-12)
 
@@ -57,7 +57,7 @@ def test_projection_weight_sits_at_small_beta(field_a, gbz_a):
     The delta poke already enters the finite Laplace sum with a small-beta
     bias, so the robust statement is that the late-time weighted mean
     modulus stays below the unweighted GBZ mean (and inside the BZ)."""
-    proj = laplace_projection(field_a, gbz_a, normalized=True)
+    proj = laplace_projection(field_a, gbz_a)
     mods = np.abs(gbz_a.betas)
     w = proj.band_pair_magnitude()
     mean_mod = (w * mods[None, :]).sum(axis=1) / w.sum(axis=1)
@@ -81,7 +81,7 @@ def _band_pair_magnitude_per_point(proj):
 
 
 def test_band_pair_magnitude_matches_per_point_eigensolves(field_a, gbz_a):
-    proj = laplace_projection(field_a, gbz_a, normalized=True)
+    proj = laplace_projection(field_a, gbz_a)
     np.testing.assert_allclose(proj.band_pair_magnitude(),
                                _band_pair_magnitude_per_point(proj), rtol=1e-14, atol=0)
 
@@ -96,8 +96,7 @@ def test_band_pair_magnitude_holds_the_mode_of_the_point_energy(model_a, gbz_a):
         cell = eig_biorthogonal(non_bloch_hamiltonian(m, beta0))
         v = cell.right_vectors[:, np.argmin(np.abs(cell.eigenvalues - gbz_a.energies[k]))]
         psi = (beta0 ** x[:, None] * v[None, :]).ravel()
-        proj = laplace_projection(WaveField(np.array([0.0]), psi[None, :], m), gbz_a,
-                                  normalized=False)
+        proj = laplace_projection(WaveField(np.array([0.0]), psi[None, :], m), gbz_a)
         whole = np.linalg.norm(proj.coefficients[0, k])
         assert proj.band_pair_magnitude()[0, k] == pytest.approx(whole, rel=1e-9)
 

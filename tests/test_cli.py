@@ -182,8 +182,11 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     # two keys set the window length, so no single line is at fault
     ("evolve", "[evolve]\nhorizon = 1\nfs = 100\n[stft]\nwindow_s = 0.001\n",
      "window (0 samples) must be >= 1 sample"),
+    ("evolve", "[evolve]\nhorizon = 3\nfs = 100\n[stft]\nwindow_s = 1\nhop_s = 0.001\n",
+     "hop (0 samples) must be >= 1 sample"),
 ], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min", "horizon_negative",
-        "horizon_nan", "fs_zero", "cross_tol_negative", "window_below_one_sample"])
+        "horizon_nan", "fs_zero", "cross_tol_negative", "window_below_one_sample",
+        "hop_below_one_sample"])
 def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
                                                         text, where):
     cfg = _write(tmp_path, "bad.cfg", text)
