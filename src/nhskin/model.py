@@ -5,7 +5,9 @@ cell.  Horizontal (along-chain) hoppings t1, t2 are reciprocal; the vertical
 inter-chain hoppings t3, t4 are directed, which is the only source of
 non-Hermiticity.  Two reference models, a single-band nonreciprocal chain
 (Hatano-Nelson) and a two-band nonreciprocal SSH chain, share the same
-parameter container.
+parameter container.  Every family is a banded block-Toeplitz chain, defined
+once by its real blocks (H0, Hp, Hm) in ``_hopping_blocks``; the cell, Bloch
+and real-space Hamiltonians are all built from those blocks.
 """
 
 from __future__ import annotations
@@ -89,11 +91,9 @@ class LatticeModel:
 
     @property
     def is_hermitian(self) -> bool:
-        if self.family is Family.GT:
-            return self.t3 == self.t4
-        if self.family is Family.HATANO_NELSON:
-            return self.t1 == self.t2
-        return self.delta == 0.0
+        """H0 is symmetric and Hp is the transpose of Hm (all blocks are real)."""
+        h0, hp, hm = _hopping_blocks(self)
+        return bool(np.array_equal(h0, h0.T) and np.array_equal(hp, hm.T))
 
     def with_(self, **kw) -> "LatticeModel":
         return replace(self, **kw)
@@ -105,6 +105,27 @@ def make_model(family, t1, t2, t3, t4, omega0=0.0, gamma=0.0, n_cells=10,
     return LatticeModel(Family(family), float(t1), float(t2), float(t3), float(t4),
                         float(omega0), float(gamma), int(n_cells), BC(bc),
                         nhssh_delta)
+
+
+def _hopping_blocks(model: LatticeModel):
+    """The real blocks of H(beta) = H0 + Hp*beta + Hm/beta, the only
+    definition of each family.
+
+    Hp couples cell x to cell x+1 (amplitude for motion to the left), Hm
+    couples cell x to cell x-1.
+    """
+    t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
+    if model.family is Family.GT:
+        h0 = [[0, t4, t2, 0], [t3, 0, 0, t1], [t2, 0, 0, t3], [0, t1, t4, 0]]
+        hp = [[0, 0, 0, 0], [0, 0, 0, 0], [t1, 0, 0, 0], [0, t2, 0, 0]]
+        hm = [[0, 0, t1, 0], [0, 0, 0, t2], [0, 0, 0, 0], [0, 0, 0, 0]]
+    elif model.family is Family.HATANO_NELSON:
+        # t1 carries amplitude to the left, t2 to the right
+        h0, hp, hm = [[0]], [[t1]], [[t2]]
+    else:
+        d = model.delta
+        h0, hp, hm = [[0, t1 + d], [t1 - d, 0]], [[0, 0], [t2, 0]], [[0, t2], [0, 0]]
+    return tuple(np.array(block, dtype=float) for block in (h0, hp, hm))
 
 
 def bloch_hamiltonian(model: LatticeModel, k: float) -> np.ndarray:
@@ -125,73 +146,32 @@ def non_bloch_hamiltonian(model: LatticeModel, beta: complex) -> np.ndarray:
 
 
 def non_bloch_hamiltonians(model: LatticeModel, betas) -> np.ndarray:
-    """Stack of cell Hamiltonians H(beta), shape (n, s, s), one per beta.
-
-    :func:`non_bloch_hamiltonian` returns element 0 of this builder, so a
-    single matrix and a stacked one are bit-identical.
-    """
+    """Stack of cell Hamiltonians H0 + Hp*beta + Hm/beta, shape (n, s, s),
+    one per beta; :func:`non_bloch_hamiltonian` returns element 0 of it."""
     b = np.atleast_1d(np.asarray(betas, dtype=complex))
     if np.any(b == 0):
         raise ValidationError("beta must be nonzero (1/beta pole)")
-    t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
-    s = model.sites_per_cell
-    H = np.zeros((len(b), s, s), dtype=complex)
-    if model.family is Family.GT:
-        H[:, 0, 1] = t4
-        H[:, 0, 2] = t2 + t1 / b
-        H[:, 1, 0] = t3
-        H[:, 1, 3] = t1 + t2 / b
-        H[:, 2, 0] = t2 + t1 * b
-        H[:, 2, 3] = t3
-        H[:, 3, 1] = t1 + t2 * b
-        H[:, 3, 2] = t4
-    elif model.family is Family.HATANO_NELSON:
-        # t1 carries amplitude to the left, t2 to the right
-        H[:, 0, 0] = t1 * b + t2 / b
-    else:
-        d = model.delta
-        H[:, 0, 1] = t1 + d + t2 / b
-        H[:, 1, 0] = t1 - d + t2 * b
-    return H
-
-
-def _hopping_blocks(model: LatticeModel):
-    """Split H(k) = H0 + Hp * e^{ik} + Hm * e^{-ik} into its three blocks.
-
-    Hp couples cell x to cell x+1 (amplitude for motion to the left), Hm
-    couples cell x to cell x-1.  Recovered exactly from three k samples.
-    """
-    a = bloch_hamiltonian(model, 0.0)
-    b = bloch_hamiltonian(model, np.pi / 2)
-    c = bloch_hamiltonian(model, -np.pi / 2)
-    h0 = (b + c) / 2
-    diff = (b - c) / (2j)       # Hp - Hm
-    tot = a - h0                # Hp + Hm
-    hp = (tot + diff) / 2
-    hm = (tot - diff) / 2
-    return h0, hp, hm
+    h0, hp, hm = _hopping_blocks(model)
+    b = b[:, None, None]
+    return h0 + hp * b + hm / b
 
 
 def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
     """Full dense Hamiltonian on ``n_cells`` cells with the model's boundary
-    condition.  The uniform damping appears as -i*gamma on the diagonal;
-    omega0 is excluded (it only rotates the global phase)."""
+    condition: H0 - i*gamma on the diagonal cells, Hp above and Hm below,
+    and PBC closes the ring with one more Hp and Hm.  omega0 is excluded
+    (it only rotates the global phase)."""
     h0, hp, hm = _hopping_blocks(model)
-    s = model.sites_per_cell
-    n = model.n_cells
-    H = np.zeros((s * n, s * n), dtype=complex)
-    for x in range(n):
-        H[x * s:(x + 1) * s, x * s:(x + 1) * s] = h0
-    for x in range(n - 1):
-        H[x * s:(x + 1) * s, (x + 1) * s:(x + 2) * s] = hp
-        H[(x + 1) * s:(x + 2) * s, x * s:(x + 1) * s] = hm
-    if model.bc is BC.PBC and n > 1:
-        H[(n - 1) * s:n * s, 0:s] += hp
-        H[0:s, (n - 1) * s:n * s] += hm
-    elif model.bc is BC.PBC and n == 1:
-        H += hp + hm
-    H -= 1j * model.gamma * np.eye(s * n)
-    return H
+    s, n = model.sites_per_cell, model.n_cells
+    x = np.arange(n)
+    H = np.zeros((n, s, n, s), dtype=complex)
+    H[x, :, x, :] = h0 - 1j * model.gamma * np.eye(s)
+    H[x[:-1], :, x[1:], :] = hp
+    H[x[1:], :, x[:-1], :] = hm
+    if model.bc is BC.PBC:
+        H[n - 1, :, 0, :] += hp
+        H[0, :, n - 1, :] += hm
+    return H.reshape(n * s, n * s)
 
 
 _SWAPS = {

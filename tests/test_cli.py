@@ -37,6 +37,18 @@ def test_spectrum_preset_roundtrip(tmp_path, capsys):
     assert f"max Im E = {w.imag.max():.6g} rad/s" in out
 
 
+@pytest.mark.parametrize("preset,tail", [
+    ("fig4a", "leading-pair beat = 3.343 Hz"),
+    # a single leading mode at Re E = 0
+    ("fig4e", "leading-pair beat = 0 Hz"),
+    # all 40 modes share Im E = -gamma up to rounding
+    ("fig4i", "no single leading pair (40 modes share max Im E)"),
+])
+def test_spectrum_summary_names_the_leading_modes(tmp_path, capsys, preset, tail):
+    assert main(["spectrum", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.rstrip("\n").endswith(", " + tail)
+
+
 def test_gbz_preset_both_formats(tmp_path, capsys):
     assert main(["gbz", "--preset", "fig4a", "--out", str(tmp_path),
                  "--format", "both"]) == 0
@@ -190,9 +202,11 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
 def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
                                                         text, where):
     cfg = _write(tmp_path, "bad.cfg", text)
-    assert main([command, "--preset", "fig4a", "--config", cfg,
-                 "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main([command, "--preset", "fig4a", "--config", cfg, "--out", str(out)]) == 2
     assert where in capsys.readouterr().err
+    # the run is rejected before it writes any artifact
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_project_runs_the_gbz_cross_check(tmp_path, capsys):

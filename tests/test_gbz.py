@@ -304,10 +304,19 @@ def test_mx_reverses_mean_log_modulus():
 
 
 def test_gap_report_phase_a(model_a):
-    rep = gap_report(model_a.with_(gamma=0.0))
+    m = model_a.with_(gamma=0.0)
+    rep = gap_report(m)
     assert rep.line_gap_width > 0
     assert not rep.is_real_spectrum
     assert rep.in_gap_mode_count == 2
+    # obc_fit drops the two in-gap edge modes by its middle-pair test alone:
+    # their middle roots differ in modulus by far more than 1%
+    w = np.linalg.eigvals(real_space_hamiltonian(m))
+    edge = w[np.abs(w.real) < rep.line_gap_width / 2]
+    assert len(edge) == 2
+    roots = _roots_many(charpoly_coefficients(m, edge))
+    b2, b3 = np.abs(roots[:, 1]), np.abs(roots[:, 2])
+    assert np.all(np.abs(b2 - b3) >= 1e-2 * b2)
 
 
 def test_gap_report_phase_b_gapless(model_b):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nhskin import (BC, Family, SymmetryOp, ValidationError, apply_symmetry,
                     bloch_hamiltonian, make_model, non_bloch_hamiltonian,
                     real_space_hamiltonian)
+from nhskin.model import _hopping_blocks, non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.05, max_value=30.0,
                     allow_nan=False, allow_infinity=False)
@@ -25,6 +26,10 @@ def test_make_model_validates_hoppings():
 def test_hermitian_flag():
     assert make_model(Family.GT, 1, 2, 3, 3).is_hermitian
     assert not make_model(Family.GT, 1, 2, 3, 4).is_hermitian
+    assert make_model(Family.HATANO_NELSON, 2, 2, 1, 1).is_hermitian
+    assert not make_model(Family.HATANO_NELSON, 2, 3, 1, 1).is_hermitian
+    assert make_model(Family.NH_SSH, 1, 2, 1, 1, nhssh_delta=0.0).is_hermitian
+    assert not make_model(Family.NH_SSH, 1, 2, 1, 1).is_hermitian
 
 
 def test_bloch_entries_at_k_zero():
@@ -59,7 +64,7 @@ def test_single_cell_obc_matrix():
         [t2, 0, -1j * g, t3],
         [0, t1, t4, -1j * g],
     ])
-    assert np.allclose(H, expected, atol=1e-14)
+    assert np.array_equal(H, expected)
 
 
 def test_pbc_matches_bloch_multiset(model_hermitian):
@@ -110,3 +115,84 @@ def test_sites_per_cell_by_family():
     assert make_model(Family.GT, 1, 1, 1, 1).sites_per_cell == 4
     assert make_model(Family.HATANO_NELSON, 1, 2, 1, 1).sites_per_cell == 1
     assert make_model(Family.NH_SSH, 1, 2, 1, 1).sites_per_cell == 2
+
+
+# Exact blocks (H0, Hp, Hm) of each family, written out independently of
+# nhskin.model, for hoppings (1.1, 2.3, 3.7, 0.6) and NH-SSH delta 0.4.
+T1, T2, T3, T4, DELTA = 1.1, 2.3, 3.7, 0.6, 0.4
+BLOCKS = {
+    Family.GT: (np.array([[0, T4, T2, 0], [T3, 0, 0, T1],
+                          [T2, 0, 0, T3], [0, T1, T4, 0]]),
+                np.array([[0, 0, 0, 0], [0, 0, 0, 0], [T1, 0, 0, 0], [0, T2, 0, 0]]),
+                np.array([[0, 0, T1, 0], [0, 0, 0, T2], [0, 0, 0, 0], [0, 0, 0, 0]])),
+    Family.HATANO_NELSON: (np.zeros((1, 1)), np.array([[T1]]), np.array([[T2]])),
+    Family.NH_SSH: (np.array([[0, T1 + DELTA], [T1 - DELTA, 0]]),
+                    np.array([[0, 0], [T2, 0]]), np.array([[0, T2], [0, 0]])),
+}
+
+
+def test_gt_hopping_blocks_have_rank_two():
+    _, hp, hm = _hopping_blocks(make_model(Family.GT, 2.1, 14.9, 11.2, 3.7))
+    assert np.linalg.matrix_rank(hp, tol=0) == 2
+    assert np.linalg.matrix_rank(hm, tol=0) == 2
+
+
+def test_undamped_hatano_nelson_chain_has_a_zero_diagonal():
+    m = make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1, n_cells=12)
+    for bc in BC:
+        assert np.all(np.diag(real_space_hamiltonian(m.with_(bc=bc))) == 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+@pytest.mark.parametrize("bc", list(BC))
+@pytest.mark.parametrize("family", list(Family))
+def test_real_space_hamiltonian_is_the_kronecker_build_of_the_blocks(family, bc, n):
+    g = 0.3
+    h0, hp, hm = BLOCKS[family]
+    s = len(h0)
+    expected = (np.kron(np.eye(n), h0) + np.kron(np.eye(n, k=1), hp)
+                + np.kron(np.eye(n, k=-1), hm))
+    if bc is BC.PBC:
+        ring = np.zeros((n, n))
+        ring[n - 1, 0] = 1
+        expected = expected + np.kron(ring, hp) + np.kron(ring.T, hm)
+    expected = expected - 1j * g * np.eye(n * s)
+    m = make_model(family, T1, T2, T3, T4, gamma=g, n_cells=n, bc=bc, nhssh_delta=DELTA)
+    H = real_space_hamiltonian(m)
+    assert np.array_equal(H, expected)
+
+
+def _cell_by_entries(model, b):
+    """Cell Hamiltonians written entry by entry, an oracle independent of
+    the block table."""
+    t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
+    H = np.zeros((len(b), model.sites_per_cell, model.sites_per_cell), dtype=complex)
+    if model.family is Family.GT:
+        H[:, 0, 1] = t4
+        H[:, 0, 2] = t2 + t1 / b
+        H[:, 1, 0] = t3
+        H[:, 1, 3] = t1 + t2 / b
+        H[:, 2, 0] = t2 + t1 * b
+        H[:, 2, 3] = t3
+        H[:, 3, 1] = t1 + t2 * b
+        H[:, 3, 2] = t4
+    elif model.family is Family.HATANO_NELSON:
+        H[:, 0, 0] = t1 * b + t2 / b
+    else:
+        d = model.delta
+        H[:, 0, 1] = t1 + d + t2 / b
+        H[:, 1, 0] = t1 - d + t2 * b
+    return H
+
+
+@pytest.mark.parametrize("model", [
+    make_model(Family.GT, 2.1, 14.9, 11.2, 3.7),
+    make_model(Family.GT, 1, 2, 4, 1),
+    make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1),
+    make_model(Family.NH_SSH, 1.3, 0.7, 1, 1),
+], ids=["fig4a", "fig5", "hatano_nelson", "nh_ssh"])
+def test_cell_stack_matches_the_per_entry_formulas(model):
+    rng, n = np.random.default_rng(2005), 400
+    b = (10.0 ** rng.uniform(-3, 3, n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    b = np.concatenate([b, np.exp(1j * rng.uniform(-np.pi, np.pi, 50)), [1, -1, 1j]])
+    assert np.array_equal(non_bloch_hamiltonians(model, b), _cell_by_entries(model, b))
