@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import EnergyTrace, WaveField, energy_trace, evolve, poke_state
+from .dynamics import EnergyTrace, WaveField, _blocks, poke_state
 from .errors import ValidationError
 from .gbz import (GBZ, Direction, GapReport, GbzMethod, SkinDirection,
                   gap_report, gbz_compute, skin_direction)
@@ -272,11 +272,12 @@ def transition_sweep(path: PathSpec, m_samples, t_grid: np.ndarray,
         ms = np.linspace(0.0, path.m_max, int(m_samples))
     else:
         ms = np.asarray(m_samples, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
     traces = []
-    rates = []
     for m in ms:
         model = path.model_at(m, n_cells=n_cells)
-        tr = energy_trace(evolve(model, poke_state(model, model.n_sites // 2), t_grid))
-        traces.append(tr)
-        rates.append(growth_rate(tr))
-    return TransitionSweep(path, ms, traces, np.array(rates))
+        # each block reduced by energy_trace's row sum; the field is never held
+        blocks = _blocks(model, poke_state(model, model.n_sites // 2), t)
+        traces.append(EnergyTrace(t, np.concatenate(
+            [np.sum(np.abs(block) ** 2, axis=1) for _, block in blocks])))
+    return TransitionSweep(path, ms, traces, np.array([growth_rate(tr) for tr in traces]))

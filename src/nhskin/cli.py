@@ -17,7 +17,7 @@ from . import io as nio
 from .analysis import (laplace_projection, obc_decomposition, scan_phase_diagram,
                        transition_sweep)
 from .dynamics import (WaveField, default_time_grid, energy_trace, evolve,
-                       poke_state, stft, synthesize_signal)
+                       poke_state, stft)
 from .errors import ConfigError, NhskinError, NumericalError, ValidationError
 from .gbz import gbz_compute, gbz_touching_point, skin_direction
 from .spectral import obc_spectrum, spectral_radius
@@ -126,7 +126,8 @@ def cmd_evolve(args, cfg) -> int:
     hop = int(round(cfg["stft"]["hop_s"] * fs))
     sg = None
     if len(field.times) >= window:
-        sg = stft(synthesize_signal(field)[:, 0], fs=fs, window_len=window, hop=hop)
+        site1 = np.real(field.amplitudes[:, 0] * np.exp(-1j * model.omega0 * field.times))
+        sg = stft(site1, fs=fs, window_len=window, hop=hop)
     out = _outdir(args)
     trace = energy_trace(field)
     if args.format in ("csv", "both"):
@@ -172,9 +173,11 @@ def cmd_project(args, cfg) -> int:
     # report the first near-maximal mode in spectrum order (ascending Re)
     late = np.abs(dec.coefficients[-1])
     j = int(np.argmax(late >= (1 - 1e-9) * late.max()))
+    # a part below 1e-9 |E| is rounding noise of an exact zero (fig4e's Re E)
     E = dec.spectrum.eigenvalues[j]
+    re, im = (x if abs(x) > 1e-9 * abs(E) else 0.0 for x in (E.real, E.imag))
     print(f"project: {len(g.betas)} GBZ points, dominant late mode "
-          f"E = {E.real:.6g}{E.imag:+.6g}j rad/s")
+          f"E = {re:.6g}{im:+.6g}j rad/s")
     return 0
 
 
@@ -206,11 +209,7 @@ def cmd_sweep(args, cfg) -> int:
                              n_cells=block["n_cells"])
     out = _outdir(args)
     if args.format in ("csv", "both"):
-        nio.write_csv(out / "sweep.csv", ["m", "t3", "t4", "lambda"],
-                      ((float(m), *map(float, sweep.path.hoppings(m)), float(l))
-                       for m, l in zip(sweep.m_values, sweep.growth_rates)))
-        for m, tr in zip(sweep.m_values, sweep.traces):
-            nio.write_energy_csv(out / f"energy_m{m:.3f}.csv", tr)
+        nio.write_sweep_csv(out, sweep)
     lam = sweep.growth_rates
     print(f"sweep: path with {len(lam)} samples, lambda from {lam[0]:.4g} "
           f"to {lam[-1]:.4g} 1/s")

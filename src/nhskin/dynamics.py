@@ -3,7 +3,9 @@
 Propagation steps a uniform time grid with the matrix exponential
 U = expm(-i H dt) of the open chain, so its accuracy does not depend on
 how well conditioned the chain's eigenvector basis is (strongly
-non-normal chains reach condition numbers of 1e14-1e17).  The uniform
+non-normal chains reach condition numbers of 1e14-1e17).  The states come
+in blocks of B rows: the first is built by doubling with U, U^2, U^4, ...,
+and each later one is the previous block times U^B.  The uniform
 damping gamma is a scalar shift of the Hamiltonian and is factored out as
 an exact exp(-gamma*t) envelope, which keeps the damping-factorization
 identity exact.
@@ -22,9 +24,9 @@ from .model import BC, LatticeModel, real_space_hamiltonian
 
 #: amplitude magnitude beyond which evolution is truncated
 OVERFLOW_GUARD = 1e120
-#: entries of the stacked propagator powers [U; U^2; ...; U^B]; the block
-#: size B follows from the chain size (40 at 40 sites, 2 at 160 sites)
-_STACK_ENTRIES = 2 ** 16
+#: largest number of amplitudes in one propagated block; the block size B
+#: is the largest power of two within it (1024 at 40 sites, 256 at 160)
+_BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -69,45 +71,46 @@ def default_time_grid(horizon: float = 20.0, fs: float = 500.0) -> np.ndarray:
     return np.arange(0.0, horizon + 0.5 / fs, 1.0 / fs)
 
 
-def evolve(model: LatticeModel, psi0: np.ndarray, t_grid: np.ndarray) -> WaveField:
-    """Propagate ``psi0`` over a uniform ``t_grid`` under the open-chain
-    Hamiltonian.
-
-    The undamped step U = expm(-i H dt) is computed once; the field then
-    advances in blocks of B steps, each one product of the stacked powers
-    [U; U^2; ...; U^B] with the last computed row.  Raises
-    :class:`HorizonTruncationError` when the amplified field leaves the
-    representable range, naming the last valid time.
-    """
+def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
+    """Check ``psi0`` and the time grid, then yield ``(i, block)``: the
+    undamped open-chain states at ``t[i:i + len(block)]``."""
     psi0 = np.asarray(psi0, dtype=complex)
-    t = np.asarray(t_grid, dtype=float)
     n = model.n_sites
     if psi0.shape != (n,):
         raise ValidationError(f"psi0 must have length {n}")
     if len(t) == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
         raise ValidationError("t_grid must be strictly increasing from 0")
-    amps = np.empty((len(t), n), dtype=complex)
-    amps[0] = psi0    # the identity propagator is exact at t = 0
-    if len(t) > 1:
-        dt = t[1]
-        if np.any(np.abs(np.diff(t) - dt) > 1e-9 * dt):
-            raise ValidationError("t_grid must be uniformly spaced")
-        H = real_space_hamiltonian(model.with_(gamma=0.0, bc=BC.OBC))
-        B = min(max(1, _STACK_ENTRIES // n ** 2), len(t) - 1)
-        powers = np.empty((B, n, n), dtype=complex)
-        powers[0] = scipy.linalg.expm(-1j * dt * H)
-        for k in range(1, B):
-            powers[k] = powers[0] @ powers[k - 1]
-        stack = powers.reshape(B * n, n)
-        for i in range(1, len(t), B):
-            k = min(B, len(t) - i)
-            block = (stack[:k * n] @ amps[i - 1]).reshape(k, n)
-            # NaN fails the comparison as well, so non-finite rows are caught
-            bad = ~(np.abs(block).max(axis=1) <= OVERFLOW_GUARD)
-            if np.any(bad):
-                raise HorizonTruncationError(float(t[i - 1 + int(np.argmax(bad))]))
-            amps[i:i + k] = block
-    amps *= np.exp(-model.gamma * t)[:, None]    # exactly 1 at t = 0
+    dt = t[1] if len(t) > 1 else 0.0
+    if np.any(np.abs(np.diff(t) - dt) > 1e-9 * dt):
+        raise ValidationError("t_grid must be uniformly spaced")
+    B = min(1 << (max(1, _BLOCK_ENTRIES // n).bit_length() - 1), len(t))
+    H = real_space_hamiltonian(model.with_(gamma=0.0, bc=BC.OBC))
+    W = scipy.linalg.expm(-1j * dt * H).T    # rows are states: they advance by U^T
+    block = psi0[None, :]    # the identity propagator is exact at t = 0
+    for i in range(0, len(t), B):
+        with np.errstate(over="ignore", invalid="ignore"):    # the guard catches overflow
+            while i == 0 and len(block) < B:    # doubling: W = (U^len(block))^T
+                block = np.concatenate([block, block[:B - len(block)] @ W])
+                W = W @ W
+            if i:
+                block = block[:len(t) - i] @ W    # W = (U^B)^T
+        # NaN fails the comparison as well, so non-finite rows are caught
+        bad = ~(np.abs(block).max(axis=1) <= OVERFLOW_GUARD)
+        if np.any(bad):
+            raise HorizonTruncationError(float(t[max(i + int(np.argmax(bad)) - 1, 0)]))
+        yield i, block
+
+
+def evolve(model: LatticeModel, psi0: np.ndarray, t_grid: np.ndarray) -> WaveField:
+    """Propagate ``psi0`` over a uniform ``t_grid`` under the open-chain
+    Hamiltonian.  Raises :class:`HorizonTruncationError` when the amplified
+    field leaves the representable range, naming the last valid time."""
+    t = np.asarray(t_grid, dtype=float)
+    amps = np.empty((len(t), model.n_sites), dtype=complex)
+    for i, block in _blocks(model, psi0, t):
+        amps[i:i + len(block)] = block
+    if model.gamma:
+        amps *= np.exp(-model.gamma * t)[:, None]
     return WaveField(t, amps, model)
 
 

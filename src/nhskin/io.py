@@ -152,6 +152,18 @@ def write_energy_csv(path, trace) -> None:
     _write_table(path, ["time", "P"], [[_column(trace.times), _column(trace.P)]])
 
 
+def write_sweep_csv(out, sweep) -> None:
+    """``sweep.csv`` and one ``energy_m<m>.csv`` per sample into directory
+    ``out``; the samples share one time grid, so its column is formatted once."""
+    write_csv(Path(out) / "sweep.csv", ["m", "t3", "t4", "lambda"],
+              [(float(m), *map(float, sweep.path.hoppings(m)), float(lam))
+               for m, lam in zip(sweep.m_values, sweep.growth_rates)])
+    times = _floats(sweep.traces[0].times)
+    for m, trace in zip(sweep.m_values, sweep.traces):
+        _write_table(Path(out) / f"energy_m{m:.3f}.csv", ["time", "P"],
+                     [[times, _column(trace.P)]])
+
+
 def write_spectrogram_csv(path, spectrogram) -> None:
     _write_table(path, ["frequency", "time", "magnitude"],
                  _grid_blocks(spectrogram.frequencies, _floats(spectrogram.times),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,30 @@ def test_paths_share_origin():
 def test_path_domain_validation():
     with pytest.raises(ValidationError):
         PATH1.model_at(PATH1.m_max + 1)
+
+
+@pytest.mark.parametrize("path, m", [(PATH1, 0.7), (PATH2, 1.571)])
+def test_sweep_energy_is_the_energy_trace_of_evolve(path, m):
+    t = default_time_grid(10.0)
+    sweep = transition_sweep(path, np.array([m]), t_grid=t)
+    model = path.model_at(m)
+    field = evolve(model, poke_state(model, model.n_sites // 2), t)
+    assert np.array_equal(sweep.traces[0].times, t)
+    assert np.array_equal(sweep.traces[0].P, energy_trace(field).P)
+
+
+def test_sweep_does_not_hold_the_field():
+    """One 80-s, 40-site sample at 500 Hz, whose (T, N) complex field would
+    take 25.6 MB."""
+    t = default_time_grid(80.0)
+    transition_sweep(PATH2, np.array([1.571]), t_grid=t)    # warm lazy imports
+    tracemalloc.start()
+    try:
+        transition_sweep(PATH2, np.array([1.571]), t_grid=t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(t) * 40 * 16 / 5
 
 
 def test_sweep_growth_rate_tracks_spectrum():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nhskin import obc_spectrum
+from nhskin import (default_time_grid, evolve, obc_spectrum, poke_state, stft,
+                    synthesize_signal)
 from nhskin.cli import PRESETS, main
-from nhskin.io import model_from_config, parse_config, read_csv
+from nhskin.io import model_from_config, parse_config, read_csv, write_spectrogram_csv
 
 FIG4A_MODEL = """\
 [model]
@@ -76,6 +77,16 @@ def test_evolve_writes_artifacts(tmp_path):
         assert (out / name).exists(), name
 
 
+def test_evolve_spectrogram_is_the_site1_synthesized_signal(tmp_path):
+    cfg = _write(tmp_path, "run.cfg", "[evolve]\nhorizon = 5\npoke_site = 3\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--preset", "fig4a", "--config", cfg, "--out", str(out)]) == 0
+    m = model_from_config(parse_config(FIG4A_MODEL))
+    field = evolve(m, poke_state(m, 3), default_time_grid(5.0))
+    write_spectrogram_csv(tmp_path / "ref.csv", stft(synthesize_signal(field)[:, 0]))
+    assert (out / "spectrogram_site1.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_evolve_zero_horizon_equals_initial_state(tmp_path):
     cfg = _write(tmp_path, "run.cfg",
                  FIG4A_MODEL + "\n[evolve]\nhorizon = 0\npoke_site = 7\n")
@@ -117,6 +128,13 @@ def test_project_dominant_mode_is_first_of_symmetry_pair(tmp_path, capsys):
     assert main(["project", "--preset", "fig4a", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 0
     assert "dominant late mode E = -10.5013-0.295493j rad/s" in capsys.readouterr().out
+
+
+def test_project_prints_an_exact_zero_part_as_zero(tmp_path, capsys):
+    """fig4e's dominant late mode has Re E = 0 exactly; the eigensolver
+    returns rounding noise of order 1e-15 there."""
+    assert main(["project", "--preset", "fig4e", "--out", str(tmp_path / "out")]) == 0
+    assert "dominant late mode E = 0-1.55264j rad/s" in capsys.readouterr().out
 
 
 def test_phase_diagram_csv_symmetry(tmp_path):

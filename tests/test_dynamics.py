@@ -80,6 +80,26 @@ def test_near_exceptional_chain_matches_matrix_exponential(model_a):
         assert err < 1e-10 * np.max(np.abs(ref)), (k, err)
 
 
+@pytest.mark.parametrize("n_cells, B", [(10, 1024), (40, 256)])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 3)])
+def test_evolve_matches_stepwise_propagation(model_a, n_cells, B, blocks, extra):
+    """Grids of 1, 2, 3, B, B+1 and 2B+3 times, B being the largest power of
+    two with B * n_sites <= 2**16, cover the doubling that builds the first
+    block and a partial last block; every row must match the step-by-step
+    product with U = expm(-i H dt)."""
+    m = model_a.with_(n_cells=n_cells)
+    t = np.arange(blocks * B + extra) / 500.0
+    psi0 = poke_state(m, 7)
+    amps = evolve(m, psi0, t).amplitudes
+    assert amps.shape == (len(t), m.n_sites)
+    U = scipy.linalg.expm(-1j / 500.0 * real_space_hamiltonian(m.with_(gamma=0.0)))
+    psi = psi0
+    for k in range(len(t)):
+        ref = psi * np.exp(-m.gamma * t[k])
+        assert np.max(np.abs(amps[k] - ref)) <= 1e-11 * np.max(np.abs(ref)), k
+        psi = U @ psi
+
+
 def test_growth_rate_matches_spectrum(model_b):
     from nhskin import growth_rate, obc_spectrum
     m = model_b.with_(gamma=0.0)
@@ -96,6 +116,23 @@ def test_overflow_raises_horizon_truncation(model_b):
     with pytest.raises(HorizonTruncationError) as exc:
         evolve(m, poke_state(m, 20), t)
     assert 0.0 < exc.value.last_valid_time < 250.0
+
+
+@pytest.mark.parametrize("fs", [2.0, 10.0, 50.0])
+def test_truncation_names_the_time_before_the_first_overflowing_row(model_b, fs):
+    """The first overflowing row lies inside the doubled first block at
+    fs = 2 and 10, and in a later block at fs = 50."""
+    m = model_b.with_(gamma=0.0)
+    t = default_time_grid(250.0, fs=fs)
+    U = scipy.linalg.expm(-1j * t[1] * real_space_hamiltonian(m))
+    psi = poke_state(m, 20)
+    k = 0
+    while np.max(np.abs(psi)) <= 1e120:
+        psi = U @ psi
+        k += 1
+    with pytest.raises(HorizonTruncationError) as exc:
+        evolve(m, poke_state(m, 20), t)
+    assert exc.value.last_valid_time == t[k - 1]
 
 
 def test_packet_center_drifts_left(model_a):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nhskin import ConfigError, Family, GbzMethod, ValidationError, make_model, obc_spectrum
 from nhskin import io as nio
-from nhskin.analysis import Phase
+from nhskin.analysis import PATH1, Phase
 from nhskin.cli import main
 from nhskin.io import (CONFIG_SCHEMA, FLOAT_FMT, REQUIRED, load_config,
                        model_from_config, model_to_config, parse_config, read_csv,
@@ -172,6 +172,27 @@ def test_flat_writers_match_row_oracle(tmp_path, monkeypatch):
     for block in (nio._BLOCK_ROWS, 5):
         monkeypatch.setattr(nio, "_BLOCK_ROWS", block)
         _check_flat_writers(tmp_path, np.random.default_rng(7))
+
+
+def test_sweep_writer_matches_the_energy_writer(tmp_path, monkeypatch):
+    """The sweep writer formats the shared time column once; each energy
+    file must equal write_energy_csv's bytes, and sweep.csv the row oracle's."""
+    rng = np.random.default_rng(11)
+    times = _awkward_floats(rng, 23)
+    traces = [SimpleNamespace(times=times, P=_awkward_floats(rng, 23)) for _ in range(2)]
+    ms, lam = np.array([0.0, 0.725]), _awkward_floats(rng, 2)
+    sweep = SimpleNamespace(path=PATH1, m_values=ms, traces=traces, growth_rates=lam)
+    for block in (nio._BLOCK_ROWS, 5):
+        monkeypatch.setattr(nio, "_BLOCK_ROWS", block)
+        nio.write_sweep_csv(tmp_path, sweep)
+        for m, trace in zip(ms, traces):
+            write_energy_csv(tmp_path / "energy.csv", trace)
+            assert ((tmp_path / f"energy_m{m:.3f}.csv").read_bytes()
+                    == (tmp_path / "energy.csv").read_bytes())
+        assert (tmp_path / "sweep.csv").read_bytes() == _oracle_csv(
+            ["m", "t3", "t4", "lambda"],
+            ((float(m), *map(float, PATH1.hoppings(m)), float(l))
+             for m, l in zip(ms, lam)))
 
 
 def test_write_csv_mixed_fields_match_row_oracle(tmp_path):
