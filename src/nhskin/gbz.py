@@ -35,7 +35,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import convolve2d
 
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
@@ -303,6 +302,16 @@ def _balance(model: LatticeModel, betas: np.ndarray, branch) -> np.ndarray:
     return np.log(np.abs(roots[:, i]) * np.abs(roots[:, j]) / np.abs(betas) ** 2)
 
 
+def _polymul2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficient table of the product of two bivariate polynomials, each
+    given by its table of coefficients: the sum of shifted copies of ``q``,
+    one per nonzero entry of ``p``."""
+    out = np.zeros(np.add(p.shape, q.shape) - 1, dtype=np.result_type(p, q))
+    for k, j in zip(*np.nonzero(p)):
+        out[k:k + q.shape[0], j:j + q.shape[1]] += p[k, j] * q
+    return out
+
+
 def _agbz_table(model: LatticeModel) -> np.ndarray:
     """Exact coefficients T[k, j] of sum T_kj beta^k w^j, the resultant in y
     of the characteristic polynomial at beta and at beta w.
@@ -319,9 +328,8 @@ def _agbz_table(model: LatticeModel) -> np.ndarray:
     a = (c if model.family is Family.HATANO_NELSON else c[:, ::2]).T
 
     def m(i, j):
-        return (convolve2d(a[i][:, None], np.diag(a[j]))
-                - convolve2d(a[j][:, None], np.diag(a[i])))
-    T = m(0, 1) if len(a) == 2 else convolve2d(m(0, 1), m(1, 2)) - convolve2d(m(0, 2), m(0, 2))
+        return _polymul2(a[i][:, None], np.diag(a[j])) - _polymul2(a[j][:, None], np.diag(a[i]))
+    T = m(0, 1) if len(a) == 2 else _polymul2(m(0, 1), m(1, 2)) - _polymul2(m(0, 2), m(0, 2))
     rows = np.flatnonzero(np.any(T != 0, axis=1))
     return T[rows[0]:rows[-1] + 1]
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,20 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal drags in scipy.stats, scipy.interpolate and more: about
+    # 0.7 s of every CLI start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys; import nhskin.cli; print(' '.join(sorted("
+            "m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal'])))")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [], f"import nhskin.cli loads {res.stdout.strip()}"
 
 
 def test_spectrum_preset_roundtrip(tmp_path, capsys):

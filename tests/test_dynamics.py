@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,6 +195,29 @@ def test_stft_resolves_beat_tones():
     assert len(peaks) == 2
     gap = sg.frequencies[peaks[1]] - sg.frequencies[peaks[0]]
     assert gap == pytest.approx(split, abs=2 * (sg.frequencies[1] - sg.frequencies[0]))
+
+
+STFT_CASES = [(n, m, hop) for n, m in [(1, 1), (7, 1), (7, 2), (12, 2), (11, 3), (50, 3),
+                                         (101, 9), (101, 10), (100, 33), (64, 64),
+                                         (65, 65), (1001, 100)]
+              for hop in sorted({1, 2, 3, 5, m, m + 1, 2 * m + 3})]
+
+
+@pytest.mark.parametrize("n, m, hop", STFT_CASES)
+def test_stft_matches_scipy_short_time_fft(n, m, hop):
+    # oracle: SciPy's ShortTimeFFT with the periodic Hann window; window
+    # lengths 1, 2, 3, odd, even and the full signal, hops of 1, beyond the
+    # window and not dividing the signal length
+    x = np.random.default_rng(n * 1000 + hop).normal(size=n)
+    fs = 500.0 if n > 100 else 3.7
+    sg = stft(x, fs=fs, window_len=m, hop=hop)
+    sft = scipy.signal.ShortTimeFFT(scipy.signal.windows.hann(m, sym=False), hop=hop,
+                                    fs=fs, scale_to="magnitude")
+    ref = np.abs(sft.stft(x))
+    assert np.array_equal(sg.times, sft.t(n))
+    assert np.array_equal(sg.frequencies, sft.f)
+    assert sg.magnitudes.shape == ref.shape
+    assert np.max(np.abs(sg.magnitudes - ref)) <= 1e-13 * np.max(ref)
 
 
 def test_stft_window_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.signal import convolve2d
 
 from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     Family, GbzMethod, NoTouchingPointError, SymmetryOp,
@@ -516,6 +517,28 @@ def test_closed_form_roots_of_degenerate_polynomials_raise_no_warning():
                                        atol=1e-3 if len(poly) == 5 else 1e-12)
     with pytest.raises(ValueError):
         _roots_many(np.ones((1, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_agbz_table_matches_convolve2d_construction(family):
+    # oracle: the same Bezout resultant with every product of coefficient
+    # tables taken by SciPy's 2-D convolution
+    rng = np.random.default_rng(2020)
+    for _ in range(10):
+        m = make_model(family, *rng.uniform(0.2, 15.0, 4), n_cells=10)
+        c = _charpoly_table(m)
+        a = (c if family is Family.HATANO_NELSON else c[:, ::2]).T
+
+        def mij(i, j):
+            return (convolve2d(a[i][:, None], np.diag(a[j]))
+                    - convolve2d(a[j][:, None], np.diag(a[i])))
+        ref = (mij(0, 1) if len(a) == 2
+               else convolve2d(mij(0, 1), mij(1, 2)) - convolve2d(mij(0, 2), mij(0, 2)))
+        rows = np.flatnonzero(np.any(ref != 0, axis=1))
+        ref = ref[rows[0]:rows[-1] + 1]
+        T = _agbz_table(m)
+        assert T.shape == ref.shape
+        assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _det_fft_coefficients(model, E):
