@@ -112,6 +112,12 @@ class PathSpec:
         return (self.t3_intercept + self.t3_slope * m,
                 self.t4_intercept + self.t4_slope * m)
 
+    def samples(self, n: int) -> np.ndarray:
+        """``n`` evenly spaced values of m from 0 to ``m_max``."""
+        if n < 2:
+            raise ValidationError("need at least 2 path samples")
+        return np.linspace(0.0, self.m_max, int(n))
+
     def model_at(self, m: float, n_cells: int = 10) -> LatticeModel:
         if not 0 <= m <= self.m_max:
             raise ValidationError(f"m = {m} outside [0, {self.m_max}]")
@@ -184,7 +190,7 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0,
     if abs(m0.t3 - m0.t4) < boundary_tol:
         return PhaseLabel(Phase.BOUNDARY, np.nan, np.nan, None)
     g = gbz_compute(m0, GbzMethod.OBC_FIT, n_sites=gbz_sites)
-    report = gap_report(m0, gbz_sites=gbz_sites, gbz=g)
+    report = gap_report(m0, gbz=g)
     sd = skin_direction(g)
     if sd.direction is Direction.NONE:
         # no skin direction despite non-Hermiticity
@@ -266,12 +272,8 @@ def transition_sweep(path: PathSpec, m_samples, t_grid: np.ndarray,
     Returns the energy traces P(t) and the fitted late-time growth rates
     lambda(m) (slope of log P over the last quarter of the horizon).
     """
-    if np.isscalar(m_samples):
-        if m_samples < 2:
-            raise ValidationError("need at least 2 path samples")
-        ms = np.linspace(0.0, path.m_max, int(m_samples))
-    else:
-        ms = np.asarray(m_samples, dtype=float)
+    ms = (path.samples(m_samples) if np.isscalar(m_samples)
+          else np.asarray(m_samples, dtype=float))
     t = np.asarray(t_grid, dtype=float)
     traces = []
     for m in ms:

@@ -19,7 +19,7 @@ from .analysis import (laplace_projection, obc_decomposition, scan_phase_diagram
 from .dynamics import (WaveField, default_time_grid, energy_trace, evolve,
                        poke_state, stft)
 from .errors import ConfigError, NhskinError, NumericalError, ValidationError
-from .gbz import gbz_compute, gbz_touching_point, skin_direction
+from .gbz import gap_report, gbz_compute, gbz_touching_point, skin_direction
 from .spectral import obc_spectrum, spectral_radius
 
 # Parameter sets quoted from the source experiments (rad/s; 10 unit cells).
@@ -105,8 +105,10 @@ def cmd_gbz(args, cfg) -> int:
         touch_txt = f"touching point beta = {touch.real:.6g}{touch.imag:+.3g}j"
     except NumericalError:
         touch_txt = "no touching point"
+    gap = gap_report(model, gbz=g).line_gap_width
     print(f"gbz: {len(g.betas)} points, direction = {sd.direction.value}, "
-          f"mean log|beta| = {sd.mean_log_modulus:.4g}, {touch_txt}")
+          f"mean log|beta| = {sd.mean_log_modulus:.4g}, {touch_txt}, "
+          f"line gap = {gap:.6g} rad/s")
     return 0
 
 
@@ -204,7 +206,11 @@ def cmd_phase_diagram(args, cfg) -> int:
 
 def cmd_sweep(args, cfg) -> int:
     block = cfg["sweep"]
-    sweep = transition_sweep(block["path"], block["samples"],
+    ms = block["path"].samples(block["samples"])
+    if args.format in ("csv", "both"):
+        # before any propagation: samples that share an energy file name
+        nio.sweep_energy_names(ms)
+    sweep = transition_sweep(block["path"], ms,
                              t_grid=default_time_grid(block["horizon"]),
                              n_cells=block["n_cells"])
     out = _outdir(args)

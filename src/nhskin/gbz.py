@@ -523,7 +523,7 @@ def _real_axis_crossing(model: LatticeModel, r_lo: float, r_hi: float) -> float 
     return r
 
 
-def gbz_touching_point(gbz: GBZ, tol: float | None = None) -> complex:
+def gbz_touching_point(gbz: GBZ) -> complex:
     """The beta where the two band-pair components meet.
 
     The nearest cross-component point pair locates the meeting region; the
@@ -535,9 +535,8 @@ def gbz_touching_point(gbz: GBZ, tol: float | None = None) -> complex:
     if len(c0) == 0 or len(c1) == 0:
         raise NoTouchingPointError("GBZ does not have two band-pair components")
     scale = np.max(np.abs(gbz.betas))
-    if tol is None:
-        # the sampled components meet only up to the finite point spacing
-        tol = max(4 * np.pi / len(gbz.betas) * 10, 0.05)
+    # the sampled components meet only up to the finite point spacing
+    tol = max(4 * np.pi / len(gbz.betas) * 10, 0.05)
     d = np.abs(c0[:, None] - c1[None, :])
     i, j = np.unravel_index(np.argmin(d), d.shape)
     if d[i, j] > tol * scale:
@@ -551,28 +550,30 @@ def gbz_touching_point(gbz: GBZ, tol: float | None = None) -> complex:
     return complex(guess)
 
 
-def skin_direction(gbz: GBZ, tol: float = 1e-3) -> SkinDirection:
-    """Mean of log|beta| over the GBZ decides the bias: negative means the
-    open-chain eigenstates pile up at the left boundary."""
+def skin_direction(gbz: GBZ) -> SkinDirection:
+    """Mean of log|beta| over the GBZ decides the bias: below -1e-3 the
+    open-chain eigenstates pile up at the left boundary, above 1e-3 at the
+    right one."""
     m = gbz.mean_log_modulus
-    if m < -tol:
+    if m < -1e-3:
         d = Direction.LEFT
-    elif m > tol:
+    elif m > 1e-3:
         d = Direction.RIGHT
     else:
         d = Direction.NONE
     return SkinDirection(d, m)
 
 
-def gap_report(model: LatticeModel, gbz_sites: int = 160,
-               gbz: GBZ | None = None) -> GapReport:
+def gap_report(model: LatticeModel, gbz: GBZ | None = None) -> GapReport:
     """Bulk line-gap width, in-gap mode count, and spectrum-realness flags.
 
     The gap is measured on the non-Bloch bulk bands sampled over the GBZ
     (which excludes topological in-gap edge modes by construction), while
     realness is judged on the OBC eigenvalues of the model itself with the
-    uniform damping removed.  When ``gbz`` was fitted on that same chain,
-    its eigenvalues are reused instead of diagonalizing the chain again.
+    uniform damping removed.  Without ``gbz`` the ``obc_fit`` GBZ of the
+    default 160-site chain is used.  When ``gbz`` was fitted on the model's
+    own chain, its eigenvalues are reused instead of diagonalizing the chain
+    again.
     """
     chain = _fit_chain(model, model.n_sites)
     if (gbz is not None and gbz.chain_eigenvalues is not None
@@ -583,8 +584,7 @@ def gap_report(model: LatticeModel, gbz_sites: int = 160,
         eigs0 = _chain_eigenvalues(model, model.n_sites)
     radius = max(float(np.max(np.abs(eigs0))), 1e-300)
     tol_im, tol_gap = 1e-6 * radius, 1e-3 * radius
-    g = gbz if gbz is not None else gbz_compute(model, GbzMethod.OBC_FIT,
-                                                n_sites=gbz_sites)
+    g = gbz if gbz is not None else gbz_compute(model)
     re_abs = np.sort(np.abs(g.energies.real))
     e0 = re_abs[0]
     # a band edge reaching Re E = 0 is resolved only down to the local level

@@ -28,7 +28,7 @@ import numpy as np
 from .analysis import PATH1, PATH2
 from .errors import ConfigError, ValidationError
 from .gbz import GbzMethod
-from .model import BC, Family, LatticeModel, make_model
+from .model import Family, LatticeModel, make_model
 
 FLOAT_FMT = "%.17g"
 #: Rows the writers format and write at a time, so that the strings held
@@ -152,15 +152,31 @@ def write_energy_csv(path, trace) -> None:
     _write_table(path, ["time", "P"], [[_column(trace.times), _column(trace.P)]])
 
 
+def sweep_energy_names(m_values) -> list[str]:
+    """The ``energy_m<m>.csv`` file name of each sweep sample.
+
+    Raises :class:`ConfigError` when two samples round to one name, because
+    the later trace would overwrite the earlier one."""
+    names = [f"energy_m{m:.3f}.csv" for m in m_values]
+    first = {}
+    for m, name in zip(m_values, names):
+        if name in first:
+            raise ConfigError(f"sweep samples m = {first[name]:.6g} and m = {m:.6g} "
+                              f"share the energy file {name}; use fewer samples")
+        first[name] = m
+    return names
+
+
 def write_sweep_csv(out, sweep) -> None:
     """``sweep.csv`` and one ``energy_m<m>.csv`` per sample into directory
     ``out``; the samples share one time grid, so its column is formatted once."""
+    names = sweep_energy_names(sweep.m_values)
     write_csv(Path(out) / "sweep.csv", ["m", "t3", "t4", "lambda"],
               [(float(m), *map(float, sweep.path.hoppings(m)), float(lam))
                for m, lam in zip(sweep.m_values, sweep.growth_rates)])
     times = _floats(sweep.traces[0].times)
-    for m, trace in zip(sweep.m_values, sweep.traces):
-        _write_table(Path(out) / f"energy_m{m:.3f}.csv", ["time", "P"],
+    for name, trace in zip(names, sweep.traces):
+        _write_table(Path(out) / name, ["time", "P"],
                      [[times, _column(trace.P)]])
 
 
@@ -302,7 +318,7 @@ CONFIG_SCHEMA = {
               "t1": (float, REQUIRED), "t2": (float, REQUIRED),
               "t3": (float, REQUIRED), "t4": (float, REQUIRED),
               "omega0": (float, 0.0), "gamma": (float, 0.0), "n_cells": (int, 10),
-              "bc": ({b.value: b for b in BC}, BC.OBC), "nhssh_delta": (float, None)},
+              "nhssh_delta": (float, None)},
     "evolve": {"horizon": (_nonnegative, 20.0), "fs": (_positive, 500.0),
                "poke_site": (int, 20)},
     "gbz": {"method": ({m.value: m for m in GbzMethod}, GbzMethod.OBC_FIT),
@@ -412,15 +428,3 @@ def model_from_config(cfg: dict) -> LatticeModel:
     default."""
     block = merge_config(cfg)["model"]
     return make_model(**{key: block[key] for key in CONFIG_SCHEMA["model"]})
-
-
-def model_to_config(model: LatticeModel) -> str:
-    """Serialize a model back to the [model] block, leaving out unset keys."""
-    lines = ["[model]"]
-    for key in CONFIG_SCHEMA["model"]:
-        value = getattr(model, key)
-        if isinstance(value, float):
-            lines.append(f"{key} = {FLOAT_FMT % value}")
-        elif value is not None:
-            lines.append(f"{key} = {getattr(value, 'value', value)}")
-    return "\n".join(lines) + "\n"

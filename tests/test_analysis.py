@@ -206,7 +206,7 @@ def test_scan_diagonalizes_each_chain_once(monkeypatch):
     assert len(chain_calls) == len(off_diagonal)
     for i4, i3 in off_diagonal:
         m = make_model(Family.GT, 1, 2, d.t3_grid[i3], d.t4_grid[i4], n_cells=8)
-        rep = gap_report(m, gbz_sites=m.n_sites)
+        rep = gap_report(m, gbz=gbz_compute(m, n_sites=m.n_sites))
         assert d.labels[i4, i3].max_abs_im == rep.max_abs_im
         assert d.labels[i4, i3].line_gap == rep.line_gap_width
         assert d.im_magnitude[i4, i3] == rep.max_abs_im

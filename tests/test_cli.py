@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhskin import (default_time_grid, evolve, obc_spectrum, poke_state, stft,
-                    synthesize_signal)
+from nhskin import (default_time_grid, evolve, gap_report, gbz_compute, obc_spectrum,
+                    poke_state, stft, synthesize_signal)
 from nhskin.cli import PRESETS, main
 from nhskin.io import model_from_config, parse_config, read_csv, write_spectrogram_csv
 
@@ -83,7 +83,24 @@ def test_gbz_charpoly_summary_line(tmp_path, capsys):
                  "--out", str(tmp_path / "cp")]) == 0
     assert capsys.readouterr().out == (
         "gbz: 480 points, direction = Left, mean log|beta| = -0.4178, "
-        "touching point beta = -0.721256+0j\n")
+        "touching point beta = -0.721256+0j, line gap = 0 rad/s\n")
+
+
+@pytest.mark.parametrize("preset, gap", [("fig4a", "20.9015"), ("fig4e", "0"),
+                                         ("fig4i", "13.8275")])
+@pytest.mark.parametrize("method", ["obc_fit", "charpoly"])
+def test_gbz_summary_reports_the_line_gap(tmp_path, capsys, preset, gap, method):
+    """The line gap of the GBZ the run computed, as gap_report gives it;
+    fig4e is the gapless set."""
+    cfg = _write(tmp_path, "m.cfg", f"[gbz]\nmethod = {method}\n")
+    assert main(["gbz", "--preset", preset, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    model = model_from_config(PRESETS[preset])
+    width = gap_report(model, gbz=gbz_compute(model, method)).line_gap_width
+    line = capsys.readouterr().out
+    assert line.endswith(f", line gap = {width:.6g} rad/s\n")
+    if method == "obc_fit":
+        assert line.endswith(f", line gap = {gap} rad/s\n")
 
 
 def test_evolve_writes_artifacts(tmp_path):
@@ -206,6 +223,20 @@ horizon = 20
     assert float(rows[0][1]) == 4.0 and float(rows[0][2]) == 1.0
 
 
+def test_sweep_with_colliding_energy_files_is_rejected(tmp_path, capsys, monkeypatch):
+    """2000 samples on path 1 lie 7.3e-4 apart, closer than the 1e-3 of the
+    energy_m<m>.csv names: the run exits 2 before it propagates or writes."""
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("the sweep propagated")
+
+    monkeypatch.setattr("nhskin.cli.transition_sweep", no_propagation)
+    cfg = _write(tmp_path, "run.cfg", "[sweep]\npath = 1\nsamples = 2000\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--preset", "fig5h", "--config", cfg, "--out", str(out)]) == 2
+    assert "share the energy file" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_preset_is_config_error(tmp_path, capsys):
     assert main(["spectrum", "--preset", "nope", "--out", str(tmp_path)]) == 2
     assert "unknown preset" in capsys.readouterr().err
@@ -233,9 +264,11 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
      "window (0 samples) must be >= 1 sample"),
     ("evolve", "[evolve]\nhorizon = 3\nfs = 100\n[stft]\nwindow_s = 1\nhop_s = 0.001\n",
      "hop (0 samples) must be >= 1 sample"),
+    # every command solves the open chain, so a boundary key would be unread
+    ("spectrum", "[model]\nbc = PBC\n", "bad.cfg:2: unknown key 'bc' in section [model]"),
 ], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min", "horizon_negative",
         "horizon_nan", "fs_zero", "cross_tol_negative", "window_below_one_sample",
-        "hop_below_one_sample"])
+        "hop_below_one_sample", "bc"])
 def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
                                                         text, where):
     cfg = _write(tmp_path, "bad.cfg", text)

@@ -16,7 +16,7 @@ from nhskin import io as nio
 from nhskin.analysis import PATH1, Phase
 from nhskin.cli import main
 from nhskin.io import (CONFIG_SCHEMA, FLOAT_FMT, REQUIRED, load_config,
-                       model_from_config, model_to_config, parse_config, read_csv,
+                       model_from_config, parse_config, read_csv,
                        read_wavefield_npz, typed_config, write_coefficients_csv, write_csv,
                        write_energy_csv, write_gbz_csv, write_phase_diagram_csv,
                        write_spectrogram_csv, write_spectrum_csv,
@@ -195,6 +195,14 @@ def test_sweep_writer_matches_the_energy_writer(tmp_path, monkeypatch):
              for m, l in zip(ms, lam)))
 
 
+def test_sweep_energy_names_reject_samples_that_share_a_file():
+    """Path 1 (m_max = 1.45) has distinct 3-decimal names up to 1451 samples."""
+    names = nio.sweep_energy_names(PATH1.samples(1451))
+    assert len(set(names)) == 1451 and names[-1] == "energy_m1.450.csv"
+    with pytest.raises(ConfigError, match=r"share the energy file energy_m\d\.\d{3}\.csv"):
+        nio.sweep_energy_names(PATH1.samples(1452))
+
+
 def test_write_csv_mixed_fields_match_row_oracle(tmp_path):
     rows = [(np.float64(0.1), 3, "plain", None),
             (-0.0, np.int64(-2), 'has "quotes"', "a,b"),
@@ -267,8 +275,9 @@ def test_parse_config_converts_each_type():
     with pytest.raises(ConfigError, match=r"<config>:2: \[model\] n_cells = '2.5' "
                        "is not an integer"):
         parse_config("[model]\nn_cells = 2.5\n")
-    with pytest.raises(ConfigError, match=r":3: \[model\] bc = 'obc' is not one of OBC, PBC"):
-        parse_config("[model]\nfamily = GT\nbc = obc\n")
+    with pytest.raises(ConfigError, match=r":3: \[model\] family = 'gt' is not one of "
+                       "GT, HatanoNelson, NHSSH"):
+        parse_config("[model]\nt1 = 1\nfamily = gt\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -332,12 +341,6 @@ def test_parse_config_duplicate_key():
 def test_parse_config_missing_equals():
     with pytest.raises(ConfigError, match=r":2: expected"):
         parse_config("[model]\njust words\n")
-
-
-def test_model_config_roundtrip(model_b):
-    text = model_to_config(model_b)
-    back = model_from_config(parse_config(text))
-    assert back == model_b
 
 
 def test_model_from_config_requires_model_section():
