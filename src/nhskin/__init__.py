@@ -17,7 +17,7 @@ from .errors import (ConfigError, CrossValidationError, DegreeCollapseError,
 from .gbz import (GBZ, Direction, GapReport, GbzMethod, SkinDirection,
                   charpoly_beta_roots, gap_report, gbz_compute,
                   gbz_touching_point, skin_direction)
-from .model import (BC, Family, LatticeModel, SymmetryOp,
+from .model import (Family, LatticeModel, SymmetryOp,
                     apply_symmetry, bloch_hamiltonian, make_model,
                     non_bloch_hamiltonian, real_space_hamiltonian)
 from .spectral import (Spectrum, eig_biorthogonal, obc_spectrum,

@@ -17,9 +17,9 @@ import numpy as np
 
 from .dynamics import EnergyTrace, WaveField, _blocks, poke_state
 from .errors import ValidationError
-from .gbz import (GBZ, Direction, GapReport, GbzMethod, SkinDirection,
-                  gap_report, gbz_compute, skin_direction)
-from .model import BC, Family, LatticeModel, make_model, non_bloch_hamiltonians
+from .gbz import (GBZ, Direction, GbzMethod, SkinDirection, gap_report,
+                  gbz_compute, skin_direction)
+from .model import Family, LatticeModel, make_model, non_bloch_hamiltonians
 from .spectral import Spectrum, eig_biorthogonal, obc_spectrum
 
 
@@ -148,8 +148,7 @@ def laplace_projection(field: WaveField, gbz: GBZ) -> GbzProjection:
     left eigenvectors of the cell Hamiltonian at beta, all cells solved as one
     stack.  The maximum |C| over (point, mode) is scaled to 1 at every time.
     """
-    if field.model.with_(bc=BC.OBC, gamma=0.0) != gbz.model.with_(
-            bc=BC.OBC, gamma=0.0, n_cells=field.model.n_cells):
+    if field.model.with_(gamma=0.0) != gbz.model.with_(gamma=0.0, n_cells=field.model.n_cells):
         raise ValidationError("field and GBZ come from different models")
     N = field.model.n_cells
     psi = field.amplitudes.reshape(len(field.times), N, field.model.sites_per_cell)
@@ -162,25 +161,22 @@ def laplace_projection(field: WaveField, gbz: GBZ) -> GbzProjection:
     return GbzProjection(field.times, C, gbz, cells.eigenvalues)
 
 
-def obc_decomposition(field: WaveField, spectrum: Spectrum | None = None) -> ModeDecomposition:
-    """Biorthogonal coefficients D_j(t) = <phi_L,j | psi(t)> on OBC eigenmodes."""
-    if spectrum is None:
-        spectrum = obc_spectrum(field.model)
-    if spectrum.dim != field.model.n_sites:
-        raise ValidationError(
-            f"spectrum dimension {spectrum.dim} does not match field "
-            f"({field.model.n_sites} sites)")
+def obc_decomposition(field: WaveField) -> ModeDecomposition:
+    """Biorthogonal coefficients D_j(t) = <phi_L,j | psi(t)> on the eigenmodes
+    of the field's open chain."""
+    spectrum = obc_spectrum(field.model)
     D = field.amplitudes @ spectrum.left_vectors.conj()
     return ModeDecomposition(field.times, D, spectrum)
 
 
-def classify_phase(model: LatticeModel, boundary_tol: float = 0.0,
-                   gbz_sites: int = 160) -> PhaseLabel:
+def classify_phase(model: LatticeModel, boundary_tol: float = 0.0) -> PhaseLabel:
     """Dynamic-phase label of a double-chain model at zero damping.
 
-    Classification ignores gamma (a uniform damping only shifts the
-    spectrum).  C/C': real spectrum; A/A': complex spectrum with a real
-    line gap; B/B': complex and gapless; primed means right-directed skin.
+    The GBZ is fitted on the model's own open chain, whose eigenvalues also
+    decide realness.  Classification ignores gamma (a uniform damping only
+    shifts the spectrum).  C/C': real spectrum; A/A': complex spectrum with
+    a real line gap; B/B': complex and gapless; primed means right-directed
+    skin.
     """
     if model.family is not Family.GT:
         raise ValidationError("phase classification is defined for the double chain")
@@ -189,8 +185,8 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0,
         return PhaseLabel(Phase.HERMITIAN_LINE, 0.0, _hermitian_gap(m0), None)
     if abs(m0.t3 - m0.t4) < boundary_tol:
         return PhaseLabel(Phase.BOUNDARY, np.nan, np.nan, None)
-    g = gbz_compute(m0, GbzMethod.OBC_FIT, n_sites=gbz_sites)
-    report = gap_report(m0, gbz=g)
+    g = gbz_compute(m0, GbzMethod.OBC_FIT, n_sites=m0.n_sites)
+    report = gap_report(m0, g)
     sd = skin_direction(g)
     if sd.direction is Direction.NONE:
         # no skin direction despite non-Hermiticity
@@ -233,7 +229,7 @@ def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),
     for i4 in range(resolution):
         for i3 in range(resolution):
             m = make_model(Family.GT, t1, t2, t3s[i3], t4s[i4], n_cells=n_cells)
-            lab = classify_phase(m, boundary_tol=step / 2, gbz_sites=m.n_sites)
+            lab = classify_phase(m, boundary_tol=step / 2)
             labels[i4, i3] = lab
             im_mag[i4, i3] = lab.max_abs_im if np.isfinite(lab.max_abs_im) else 0.0
     return PhaseDiagram(t3s, t4s, labels, im_mag)

@@ -21,7 +21,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HorizonTruncationError, ValidationError
-from .model import BC, LatticeModel, real_space_hamiltonian
+from .model import LatticeModel, real_space_hamiltonian
 
 #: amplitude magnitude beyond which evolution is truncated
 OVERFLOW_GUARD = 1e120
@@ -85,7 +85,7 @@ def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
     if np.any(np.abs(np.diff(t) - dt) > 1e-9 * dt):
         raise ValidationError("t_grid must be uniformly spaced")
     B = min(1 << (max(1, _BLOCK_ENTRIES // n).bit_length() - 1), len(t))
-    H = real_space_hamiltonian(model.with_(gamma=0.0, bc=BC.OBC))
+    H = real_space_hamiltonian(model.with_(gamma=0.0))
     W = scipy.linalg.expm(-1j * dt * H).T    # rows are states: they advance by U^T
     block = psi0[None, :]    # the identity propagator is exact at t = 0
     for i in range(0, len(t), B):

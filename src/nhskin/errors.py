@@ -22,7 +22,8 @@ class DegreeCollapseError(NumericalError):
 
 
 class NoTouchingPointError(NumericalError):
-    """The two GBZ components do not approach each other within tolerance."""
+    """The two GBZ components do not approach each other within tolerance, or
+    no balance zero on the negative real axis is bracketed near them."""
 
 
 class CrossValidationError(NumericalError):

@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
-from .model import BC, Family, LatticeModel, real_space_hamiltonian
+from .model import Family, LatticeModel, real_space_hamiltonian
 from .spectral import real_if_exact
 
 
@@ -395,7 +395,7 @@ def _band_pairs(model: LatticeModel, betas: np.ndarray, energies: np.ndarray) ->
 
 def _fit_chain(model: LatticeModel, n_sites: int) -> LatticeModel:
     """The undamped open chain of ``n_sites`` sites that ``obc_fit`` diagonalizes."""
-    return model.with_(gamma=0.0, n_cells=n_sites // model.sites_per_cell, bc=BC.OBC)
+    return model.with_(gamma=0.0, n_cells=n_sites // model.sites_per_cell)
 
 
 def _chain_eigenvalues(model: LatticeModel, n_sites: int) -> np.ndarray:
@@ -503,33 +503,16 @@ def _radial_refine_many(model: LatticeModel, betas: np.ndarray,
     return out
 
 
-def _real_axis_crossing(model: LatticeModel, r_lo: float, r_hi: float) -> float | None:
-    """Radius of the first balance zero on the negative real axis between
-    ``r_lo`` and ``r_hi``, or None when no sign change is bracketed on 80
-    radii or the zero does not balance every E^2 branch.
-
-    There the E^2 branches are complex conjugates (the symmetry quadruple
-    {+-a +- ib}), so their balances agree and branch 0 is refined alone."""
-    rs = np.geomspace(r_lo, r_hi, 80)
-    g = _balance(model, -rs, 0)
-    idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
-    if len(idx) == 0:
-        return None
-    r = brentq(lambda x: _balance(model, np.array([-x]), 0)[0], rs[idx[0]], rs[idx[0] + 1])
-    n_branch = _branch_energies(model, 1.0).shape[1]
-    # a genuine touching point balances every branch at once
-    if np.max(np.abs(_balance(model, np.full(n_branch, -r), np.arange(n_branch)))) > 1e-6:
-        return None
-    return r
-
-
 def gbz_touching_point(gbz: GBZ) -> complex:
     """The beta where the two band-pair components meet.
 
     The nearest cross-component point pair locates the meeting region; the
-    result is then refined on the negative real axis, where the symmetry
-    quadruple forces both components through the same radius.  Components
-    that never approach each other raise :class:`NoTouchingPointError`.
+    result is then refined to the first balance zero on the negative real
+    axis within a factor 3 of that pair's radius, where the symmetry
+    quadruple {+-a +- ib} makes the E^2 branches complex conjugates, so
+    their balances agree and branch 0 is refined alone.  Components that
+    never approach each other, or no sign change bracketed on 80 radii,
+    raise :class:`NoTouchingPointError`.
     """
     c0, c1 = gbz.component(0), gbz.component(1)
     if len(c0) == 0 or len(c1) == 0:
@@ -542,12 +525,17 @@ def gbz_touching_point(gbz: GBZ) -> complex:
     if d[i, j] > tol * scale:
         raise NoTouchingPointError(
             f"components stay {d[i, j] / scale:.3g} (relative) apart, tol {tol:g}")
-    guess = (c0[i] + c1[j]) / 2
-    r0 = abs(guess)
-    refined = _real_axis_crossing(gbz.model, r0 / 3, r0 * 3)
-    if refined is not None:
-        return complex(-refined)
-    return complex(guess)
+    r0 = abs(c0[i] + c1[j]) / 2
+    rs = np.geomspace(r0 / 3, r0 * 3, 80)
+    g = _balance(gbz.model, -rs, 0)
+    idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
+    if len(idx) == 0:
+        raise NoTouchingPointError(
+            f"no balance zero on the negative real axis between radii "
+            f"{rs[0]:.3g} and {rs[-1]:.3g}")
+    r = brentq(lambda x: _balance(gbz.model, np.array([-x]), 0)[0],
+               rs[idx[0]], rs[idx[0] + 1])
+    return complex(-r)
 
 
 def skin_direction(gbz: GBZ) -> SkinDirection:
@@ -564,28 +552,25 @@ def skin_direction(gbz: GBZ) -> SkinDirection:
     return SkinDirection(d, m)
 
 
-def gap_report(model: LatticeModel, gbz: GBZ | None = None) -> GapReport:
+def gap_report(model: LatticeModel, gbz: GBZ) -> GapReport:
     """Bulk line-gap width, in-gap mode count, and spectrum-realness flags.
 
     The gap is measured on the non-Bloch bulk bands sampled over the GBZ
     (which excludes topological in-gap edge modes by construction), while
     realness is judged on the OBC eigenvalues of the model itself with the
-    uniform damping removed.  Without ``gbz`` the ``obc_fit`` GBZ of the
-    default 160-site chain is used.  When ``gbz`` was fitted on the model's
-    own chain, its eigenvalues are reused instead of diagonalizing the chain
+    uniform damping removed.  When ``gbz`` was fitted on the model's own
+    chain, its eigenvalues are reused instead of diagonalizing the chain
     again.
     """
-    chain = _fit_chain(model, model.n_sites)
-    if (gbz is not None and gbz.chain_eigenvalues is not None
-            and _fit_chain(gbz.model, gbz.n_sites_used) == chain):
+    if (gbz.chain_eigenvalues is not None
+            and _fit_chain(gbz.model, gbz.n_sites_used) == _fit_chain(model, model.n_sites)):
         eigs0 = gbz.chain_eigenvalues
     else:
         # only eigenvalues are needed here; skip the eigenvector conditioning
         eigs0 = _chain_eigenvalues(model, model.n_sites)
     radius = max(float(np.max(np.abs(eigs0))), 1e-300)
     tol_im, tol_gap = 1e-6 * radius, 1e-3 * radius
-    g = gbz if gbz is not None else gbz_compute(model)
-    re_abs = np.sort(np.abs(g.energies.real))
+    re_abs = np.sort(np.abs(gbz.energies.real))
     e0 = re_abs[0]
     # a band edge reaching Re E = 0 is resolved only down to the local level
     # spacing of the finite fitting chain

@@ -249,7 +249,7 @@ def write_svg_heatmap(path, values: np.ndarray, title: str = "",
     Path(path).write_text(doc + "\n")
 
 
-def write_svg_scatter(path, x, y, title: str = "", unit_circle: bool = True) -> None:
+def write_svg_scatter(path, x, y, title: str = "") -> None:
     """Scatter plot with auto-scaled axes and a unit-circle reference."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -268,10 +268,9 @@ def write_svg_scatter(path, x, y, title: str = "", unit_circle: bool = True) -> 
     body = [f'<line x1="{sx(-lim)}" y1="{sy(0)}" x2="{sx(lim)}" y2="{sy(0)}" '
             'stroke="#999" stroke-width="1"/>',
             f'<line x1="{sx(0)}" y1="{sy(-lim)}" x2="{sx(0)}" y2="{sy(lim)}" '
-            'stroke="#999" stroke-width="1"/>']
-    if unit_circle:
-        body.append(f'<circle cx="{sx(0)}" cy="{sy(0)}" r="{(half - 10) / lim}" '
-                    'fill="none" stroke="#ccc" stroke-dasharray="4 3"/>')
+            'stroke="#999" stroke-width="1"/>',
+            f'<circle cx="{sx(0)}" cy="{sy(0)}" r="{(half - 10) / lim}" '
+            'fill="none" stroke="#ccc" stroke-dasharray="4 3"/>']
     if title:
         body.append(f'<text x="10" y="14" font-size="12">{title}</text>')
     for xi, yi in zip(x.ravel(), y.ravel()):

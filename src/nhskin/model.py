@@ -7,7 +7,7 @@ non-Hermiticity.  Two reference models, a single-band nonreciprocal chain
 (Hatano-Nelson) and a two-band nonreciprocal SSH chain, share the same
 parameter container.  Every family is a banded block-Toeplitz chain, defined
 once by its real blocks (H0, Hp, Hm) in ``_hopping_blocks``; the cell, Bloch
-and real-space Hamiltonians are all built from those blocks.
+and open-chain Hamiltonians are all built from those blocks.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ class Family(str, Enum):
     GT = "GT"
     HATANO_NELSON = "HatanoNelson"
     NH_SSH = "NHSSH"
-
-
-class BC(str, Enum):
-    OBC = "OBC"
-    PBC = "PBC"
 
 
 class SymmetryOp(str, Enum):
@@ -59,7 +54,6 @@ class LatticeModel:
     omega0: float
     gamma: float
     n_cells: int
-    bc: BC
     nhssh_delta: float | None = None
 
     def __post_init__(self):
@@ -100,11 +94,10 @@ class LatticeModel:
 
 
 def make_model(family, t1, t2, t3, t4, omega0=0.0, gamma=0.0, n_cells=10,
-               bc=BC.OBC, nhssh_delta=None) -> LatticeModel:
+               nhssh_delta=None) -> LatticeModel:
     """Validate and build a :class:`LatticeModel`."""
     return LatticeModel(Family(family), float(t1), float(t2), float(t3), float(t4),
-                        float(omega0), float(gamma), int(n_cells), BC(bc),
-                        nhssh_delta)
+                        float(omega0), float(gamma), int(n_cells), nhssh_delta)
 
 
 def _hopping_blocks(model: LatticeModel):
@@ -157,10 +150,9 @@ def non_bloch_hamiltonians(model: LatticeModel, betas) -> np.ndarray:
 
 
 def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
-    """Full dense Hamiltonian on ``n_cells`` cells with the model's boundary
-    condition: H0 - i*gamma on the diagonal cells, Hp above and Hm below,
-    and PBC closes the ring with one more Hp and Hm.  omega0 is excluded
-    (it only rotates the global phase)."""
+    """Full dense Hamiltonian of the open chain of ``n_cells`` cells:
+    H0 - i*gamma on the diagonal cells, Hp above and Hm below.  omega0 is
+    excluded (it only rotates the global phase)."""
     h0, hp, hm = _hopping_blocks(model)
     s, n = model.sites_per_cell, model.n_cells
     x = np.arange(n)
@@ -168,9 +160,6 @@ def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
     H[x, :, x, :] = h0 - 1j * model.gamma * np.eye(s)
     H[x[:-1], :, x[1:], :] = hp
     H[x[1:], :, x[:-1], :] = hm
-    if model.bc is BC.PBC:
-        H[n - 1, :, 0, :] += hp
-        H[0, :, n - 1, :] += hm
     return H.reshape(n * s, n * s)
 
 

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import ValidationError
-from .model import BC, LatticeModel, non_bloch_hamiltonians, real_space_hamiltonian
+from .model import LatticeModel, non_bloch_hamiltonians, real_space_hamiltonian
 
 #: eigenvector-matrix condition number above which a spectrum is flagged
 NEAR_EXCEPTIONAL_COND = 1e8
@@ -77,8 +77,8 @@ def eig_biorthogonal(H: np.ndarray) -> Spectrum:
 
 
 def obc_spectrum(model: LatticeModel) -> Spectrum:
-    """Eigensystem of the open chain (bc forced to OBC)."""
-    return eig_biorthogonal(real_space_hamiltonian(model.with_(bc=BC.OBC)))
+    """Eigensystem of the open chain."""
+    return eig_biorthogonal(real_space_hamiltonian(model))
 
 
 def pbc_spectrum(model: LatticeModel, n_k: int = 50) -> Spectrum:

@@ -114,7 +114,7 @@ def test_decomposition_of_single_eigenmode(model_a):
     j = 7
     t = np.linspace(0.0, 3.0, 31)
     field = evolve(model_a, spec.right_vectors[:, j], t)
-    dec = obc_decomposition(field, spec)
+    dec = obc_decomposition(field)
     expected = np.exp(-1j * spec.eigenvalues[j] * t)
     assert np.max(np.abs(dec.coefficients[:, j] - expected)) < 1e-8
     others = np.delete(np.abs(dec.coefficients), j, axis=1)
@@ -143,6 +143,14 @@ def test_classify_fig4_parameter_points(model_a, model_b, model_c):
     assert classify_phase(model_a).label is Phase.A
     assert classify_phase(model_b).label is Phase.B
     assert classify_phase(model_c).label is Phase.C
+
+
+def test_classify_matches_the_scan_at_a_fig3d_grid_point():
+    # the scan labels each point by the GBZ of the model's own 25-cell
+    # chain; a direct call must fit that same chain, not a longer one
+    grid = np.linspace(0.2, 6.0, 24)
+    m = make_model(Family.GT, 1, 2, grid[14], grid[1], n_cells=25)
+    assert classify_phase(m).label is Phase.A
 
 
 def test_classify_hermitian_line():

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -71,6 +72,14 @@ def test_touching_point_missing_for_hatano_nelson():
     g = gbz_compute(m, n_sites=40)
     with pytest.raises(NoTouchingPointError):
         gbz_touching_point(g)
+
+
+def test_touching_point_without_a_balance_zero_raises(model_a):
+    # components that meet 20x farther out than the real crossing leave no
+    # sign change within a factor 3 of their radius: no midpoint fallback
+    g = gbz_compute(model_a.with_(gamma=0.0, n_cells=40))
+    with pytest.raises(NoTouchingPointError, match="no balance zero"):
+        gbz_touching_point(dataclasses.replace(g, betas=20 * g.betas))
 
 
 def test_methods_cross_validate(model_b):
@@ -306,7 +315,7 @@ def test_mx_reverses_mean_log_modulus():
 
 def test_gap_report_phase_a(model_a):
     m = model_a.with_(gamma=0.0)
-    rep = gap_report(m)
+    rep = gap_report(m, gbz_compute(m))
     assert rep.line_gap_width > 0
     assert not rep.is_real_spectrum
     assert rep.in_gap_mode_count == 2
@@ -321,13 +330,15 @@ def test_gap_report_phase_a(model_a):
 
 
 def test_gap_report_phase_b_gapless(model_b):
-    rep = gap_report(model_b.with_(gamma=0.0))
+    m = model_b.with_(gamma=0.0)
+    rep = gap_report(m, gbz_compute(m))
     assert rep.line_gap_width == 0.0
     assert not rep.is_real_spectrum
 
 
 def test_gap_report_phase_c_real(model_c):
-    rep = gap_report(model_c.with_(gamma=0.0))
+    m = model_c.with_(gamma=0.0)
+    rep = gap_report(m, gbz_compute(m))
     assert rep.is_real_spectrum
     assert rep.max_abs_im == 0.0   # real arithmetic keeps real eigenvalues real
     assert rep.line_gap_width > 0
@@ -335,7 +346,7 @@ def test_gap_report_phase_c_real(model_c):
 
 def test_gap_report_hermitian_matches_bloch_oracle():
     m = make_model(Family.GT, 0.5, 1.0, 0.7, 0.7, n_cells=40)
-    rep = gap_report(m)
+    rep = gap_report(m, gbz_compute(m))
     ks = np.linspace(-np.pi, np.pi, 2001)
     from nhskin import bloch_hamiltonian
     e0 = min(np.min(np.abs(np.linalg.eigvalsh(bloch_hamiltonian(m, k))))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhskin import (BC, Family, SymmetryOp, ValidationError, apply_symmetry,
+from nhskin import (Family, SymmetryOp, ValidationError, apply_symmetry,
                     bloch_hamiltonian, make_model, non_bloch_hamiltonian,
                     real_space_hamiltonian)
 from nhskin.model import _hopping_blocks, non_bloch_hamiltonians
@@ -68,8 +68,11 @@ def test_single_cell_obc_matrix():
 
 
 def test_pbc_matches_bloch_multiset(model_hermitian):
-    m = model_hermitian.with_(bc=BC.PBC)
-    real = np.sort_complex(np.linalg.eigvals(real_space_hamiltonian(m)))
+    m = model_hermitian
+    _, hp, hm = _hopping_blocks(m)
+    ring = np.eye(m.n_cells, k=1 - m.n_cells)    # the closing bond, cell N to cell 1
+    H = real_space_hamiltonian(m) + np.kron(ring, hp) + np.kron(ring.T, hm)
+    real = np.sort_complex(np.linalg.eigvals(H))
     bloch = []
     for j in range(m.n_cells):
         k = 2 * np.pi * j / m.n_cells
@@ -139,25 +142,19 @@ def test_gt_hopping_blocks_have_rank_two():
 
 def test_undamped_hatano_nelson_chain_has_a_zero_diagonal():
     m = make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1, n_cells=12)
-    for bc in BC:
-        assert np.all(np.diag(real_space_hamiltonian(m.with_(bc=bc))) == 0)
+    assert np.all(np.diag(real_space_hamiltonian(m)) == 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
-@pytest.mark.parametrize("bc", list(BC))
-@pytest.mark.parametrize("family", list(Family))
-def test_real_space_hamiltonian_is_the_kronecker_build_of_the_blocks(family, bc, n):
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f"{f.value}-OBC")
+def test_real_space_hamiltonian_is_the_kronecker_build_of_the_blocks(family, n):
     g = 0.3
     h0, hp, hm = BLOCKS[family]
     s = len(h0)
     expected = (np.kron(np.eye(n), h0) + np.kron(np.eye(n, k=1), hp)
                 + np.kron(np.eye(n, k=-1), hm))
-    if bc is BC.PBC:
-        ring = np.zeros((n, n))
-        ring[n - 1, 0] = 1
-        expected = expected + np.kron(ring, hp) + np.kron(ring.T, hm)
     expected = expected - 1j * g * np.eye(n * s)
-    m = make_model(family, T1, T2, T3, T4, gamma=g, n_cells=n, bc=bc, nhssh_delta=DELTA)
+    m = make_model(family, T1, T2, T3, T4, gamma=g, n_cells=n, nhssh_delta=DELTA)
     H = real_space_hamiltonian(m)
     assert np.array_equal(H, expected)
 

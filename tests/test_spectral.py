@@ -7,7 +7,7 @@ from nhskin import (Family, ValidationError, eig_biorthogonal, make_model,
                     obc_spectrum, pair_with_negated_conjugate, pbc_spectrum,
                     real_space_hamiltonian, spectral_radius)
 from nhskin.gbz import _chain_eigenvalues
-from nhskin.model import non_bloch_hamiltonians
+from nhskin.model import _hopping_blocks, non_bloch_hamiltonians
 from nhskin.spectral import NEAR_EXCEPTIONAL_COND, multiset_distance
 
 hopping = st.floats(min_value=0.1, max_value=20.0,
@@ -70,10 +70,12 @@ def test_hatano_nelson_obc_similarity_oracle():
 
 
 def test_pbc_spectrum_matches_real_space(model_b):
-    from nhskin import BC
     n_k = model_b.n_cells
     spec = pbc_spectrum(model_b, n_k=n_k)
-    brute = np.linalg.eigvals(real_space_hamiltonian(model_b.with_(bc=BC.PBC)))
+    _, hp, hm = _hopping_blocks(model_b)
+    ring = np.eye(n_k, k=1 - n_k)    # the closing bond, cell N to cell 1
+    H = real_space_hamiltonian(model_b) + np.kron(ring, hp) + np.kron(ring.T, hm)
+    brute = np.linalg.eigvals(H)
     assert multiset_distance(spec.eigenvalues, brute) < 1e-9 * np.max(np.abs(brute))
 
 
