@@ -305,9 +305,17 @@ def _positive(text: str) -> float:
     return value
 
 
+def _four_or_more(text: str) -> int:
+    value = int(text)
+    if value < 4:
+        raise ValueError(text)
+    return value
+
+
 #: what a value that a converter rejects should have been
 _EXPECTED = {float: "a number", int: "an integer", _bool: "true or false",
-             _nonnegative: "a finite number >= 0", _positive: "a finite number > 0"}
+             _nonnegative: "a finite number >= 0", _positive: "a finite number > 0",
+             _four_or_more: "an integer >= 4"}
 
 #: every key per section as (type, default); a type is a converter of the
 #: key's text or a dict of its options.  The [model] and [gbz] keys are the
@@ -326,7 +334,9 @@ CONFIG_SCHEMA = {
     "stft": {"window_s": (_positive, 2.0), "hop_s": (_positive, 0.1)},
     "phase_diagram": {"t3_min": (float, REQUIRED), "t3_max": (float, REQUIRED),
                       "t4_min": (float, REQUIRED), "t4_max": (float, REQUIRED),
-                      "resolution": (int, REQUIRED), "n_cells": (int, 25)},
+                      "resolution": (int, REQUIRED),
+                      # each label fits the GBZ of its chain, which needs 4 cells
+                      "n_cells": (_four_or_more, 25)},
     "sweep": {"path": ({"1": PATH1, "2": PATH2}, PATH1), "samples": (int, 13),
               "horizon": (_positive, 80.0), "n_cells": (int, 10)},
 }

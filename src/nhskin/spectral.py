@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import ValidationError
 from .model import LatticeModel, non_bloch_hamiltonians, real_space_hamiltonian
@@ -61,9 +59,10 @@ def eig_biorthogonal(H: np.ndarray) -> Spectrum:
         raise ValidationError(f"H must be square, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise ValidationError("H has non-finite entries")
-    w, vr = scipy.linalg.eig(real_if_exact(H))
+    w, vr = np.linalg.eig(real_if_exact(H))
     order = np.lexsort((w.imag, w.real), axis=-1)
-    w = np.take_along_axis(w, order, axis=-1)
+    # NumPy returns a stack with only real eigenvalues in real arithmetic
+    w = np.take_along_axis(w, order, axis=-1).astype(complex, copy=False)
     vr = np.take_along_axis(vr, order[..., None, :], axis=-1).astype(complex, copy=False)
     cond = np.linalg.cond(vr)
     worst = np.max(cond, initial=0.0)
@@ -114,8 +113,10 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b).ravel()
     if a.shape != b.shape:
         raise ValidationError("multisets must have the same size")
+    # SciPy is imported here, not with the module: no CLI path calls this
+    from scipy.optimize import linear_sum_assignment
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
 

@@ -30,18 +30,62 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal drags in scipy.stats, scipy.interpolate and more: about
-    # 0.7 s of every CLI start-up
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports nhskin from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys; import nhskin.cli; print(' '.join(sorted("
-            "m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal'])))")
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    res = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == [], f"import nhskin.cli loads {res.stdout.strip()}"
+    return res.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.linalg and scipy.optimize took about 0.55 s and 48 MB of every
+    # CLI start-up, scipy.signal about 0.7 s more
+    loaded = _run_python("import sys; import nhskin.cli; print(' '.join(sorted("
+                         "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert loaded.split() == [], f"import nhskin.cli loads {loaded.strip()}"
+
+
+_NO_SCIPY_RUN = """\
+import contextlib, io, sys
+from pathlib import Path
+sys.modules["scipy"] = None    # any import of scipy, also a lazy one, fails
+from nhskin.cli import main
+out = Path(sys.argv[1])
+configs = {
+    "gbz": "[gbz]\\nmethod = charpoly\\ncross_check = true\\n",
+    "evolve": "[evolve]\\nhorizon = 2\\n",
+    "project": "[evolve]\\nhorizon = 2\\n",
+    "phase-diagram": "[phase_diagram]\\nresolution = 4\\nn_cells = 5\\n",
+    "sweep": "[sweep]\\nsamples = 3\\nhorizon = 5\\n",
+}
+presets = {"phase-diagram": "fig3d", "sweep": "fig5i"}
+for command in ("spectrum", "gbz", "evolve", "project", "phase-diagram", "sweep"):
+    cfg = out / f"{command}.cfg"
+    cfg.write_text(configs.get(command, ""))
+    argv = [command, "--preset", presets.get(command, "fig4a"), "--config", str(cfg),
+            "--out", str(out / command), "--format", "both"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(" ".join(m for m in ("numpy.ma", "numpy.random") if m in sys.modules))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """With scipy made unimportable, each subcommand runs; the GBZ runs
+    charpoly with the cross-check.  NumPy's lazily loaded numpy.ma and
+    numpy.random (about 15 and 13 ms) stay unloaded: SciPy used to import
+    them at start-up, so a run that needs them pays for them inside an
+    operation."""
+    loaded = _run_python(_NO_SCIPY_RUN, str(tmp_path))
+    assert loaded.split() == []
+    for name in ("spectrum/spectrum.csv", "gbz/gbz.csv", "evolve/wavefield.npz",
+                 "project/gbz_projection.csv", "phase-diagram/phase_diagram.csv",
+                 "sweep/sweep.csv"):
+        assert (tmp_path / name).exists(), name
 
 
 def test_spectrum_preset_roundtrip(tmp_path, capsys):
@@ -266,9 +310,12 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
      "hop (0 samples) must be >= 1 sample"),
     # every command solves the open chain, so a boundary key would be unread
     ("spectrum", "[model]\nbc = PBC\n", "bad.cfg:2: unknown key 'bc' in section [model]"),
+    # a phase label fits the GBZ of the chain, which needs 4 cells
+    ("phase-diagram", "[phase_diagram]\nresolution = 4\nn_cells = 3\n",
+     "bad.cfg:3: [phase_diagram] n_cells = '3' is not an integer >= 4"),
 ], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min", "horizon_negative",
         "horizon_nan", "fs_zero", "cross_tol_negative", "window_below_one_sample",
-        "hop_below_one_sample", "bc"])
+        "hop_below_one_sample", "bc", "phase_diagram_n_cells_below_4"])
 def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
                                                         text, where):
     cfg = _write(tmp_path, "bad.cfg", text)

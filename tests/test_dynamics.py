@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from nhskin import (Family, HorizonTruncationError, ValidationError,
                     default_time_grid, energy_trace, evolve, make_model,
-                    packet_center, poke_state, real_space_hamiltonian, stft,
-                    synthesize_signal)
+                    obc_spectrum, packet_center, poke_state, real_space_hamiltonian,
+                    stft, synthesize_signal)
+from nhskin.dynamics import _expm
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
@@ -65,6 +66,60 @@ def test_spectral_vs_integrator(model_a, dop853):
     a = evolve(model_a, psi0, t).amplitudes
     b = dop853(model_a, psi0, t)
     assert np.max(np.abs(a - b)) < 1e-6 * np.max(np.abs(a))
+
+
+def _expm_error(A):
+    """Largest entry error of _expm against scipy.linalg.expm, relative to
+    the largest entry of the exponential."""
+    ref = scipy.linalg.expm(A)
+    return np.max(np.abs(_expm(A) - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("phase", ["model_a", "model_b", "model_c"])
+@pytest.mark.parametrize("n_cells", [10, 40])
+@pytest.mark.parametrize("dt", [1 / 500, 1 / 100, 1 / 20, 1 / 5, 1 / 2])
+def test_expm_matches_scipy_on_the_presets(phase, n_cells, dt, request):
+    """The propagator of each preset chain at 40 and 160 sites over the
+    time steps of a run, from no squaring (dt = 1/500: 1-norm <= 0.06) to
+    two (dt = 1/2)."""
+    m = request.getfixturevalue(phase).with_(n_cells=n_cells, gamma=0.0)
+    assert _expm_error(-1j * dt * real_space_hamiltonian(m)) < 1e-14
+
+
+@pytest.mark.parametrize("phase", ["model_a", "model_b", "model_c"])
+@pytest.mark.parametrize("dt, squarings, tol", [(5.0, 5, 1e-13), (50.0, 9, 1e-11)])
+def test_expm_matches_scipy_after_many_squarings(phase, dt, squarings, tol, request):
+    """At |H dt|_1 of 140-1600 the approximant is squared 5 and 9 times; the
+    rounding of each squaring is amplified by the later ones, in SciPy's
+    scaling and squaring as well."""
+    H = real_space_hamiltonian(request.getfixturevalue(phase).with_(gamma=0.0))
+    A = -1j * dt * H
+    assert np.ceil(np.log2(np.linalg.norm(A, 1) / 5.371920351148152)) == squarings
+    assert _expm_error(A) < tol
+
+
+def test_expm_matches_scipy_on_a_near_exceptional_chain(model_a):
+    """Phase A at 160 sites: the eigenvector basis is numerically singular,
+    which a Pade approximant never uses."""
+    m = model_a.with_(n_cells=40, gamma=0.0)
+    with pytest.warns(RuntimeWarning, match="near-exceptional"):
+        assert obc_spectrum(m).condition_number >= 1e14
+    H = real_space_hamiltonian(m)
+    for dt in (1 / 500, 1 / 7, 3.0):
+        assert _expm_error(-1j * dt * H) < 1e-13, dt
+
+
+def test_expm_matches_scipy_on_random_chains():
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        m = make_model(Family.GT, *rng.uniform(0.2, 15.0, 4),
+                       n_cells=int(rng.integers(2, 30)))
+        dt = 10 ** rng.uniform(-3, 0.5)
+        assert _expm_error(-1j * dt * real_space_hamiltonian(m)) < 1e-14, (m, dt)
+
+
+def test_expm_of_zero_is_the_identity():
+    assert np.array_equal(_expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
 
 
 def test_near_exceptional_chain_matches_matrix_exponential(model_a):

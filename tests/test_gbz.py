@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq, linear_sum_assignment
 from scipy.signal import convolve2d
 
 from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
@@ -80,6 +80,57 @@ def test_touching_point_without_a_balance_zero_raises(model_a):
     g = gbz_compute(model_a.with_(gamma=0.0, n_cells=40))
     with pytest.raises(NoTouchingPointError, match="no balance zero"):
         gbz_touching_point(dataclasses.replace(g, betas=20 * g.betas))
+
+
+def _brentq_touching_point(g):
+    """The touching point as brentq refines it: the same nearest
+    cross-component pair and the same 80-radius scan for a sign change."""
+    c0, c1 = g.component(0), g.component(1)
+    d = np.abs(c0[:, None] - c1[None, :])
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    r0 = abs(c0[i] + c1[j]) / 2
+    rs = np.geomspace(r0 / 3, r0 * 3, 80)
+    bal = _balance(g.model, -rs, 0)
+    k = np.flatnonzero(np.sign(bal[:-1]) * np.sign(bal[1:]) < 0)[0]
+    return -brentq(lambda x: _balance(g.model, np.array([-x]), 0)[0], rs[k], rs[k + 1])
+
+
+def _assert_matches_brentq(g):
+    # near the touching point the middle roots nearly coincide, so the
+    # balance itself is resolved only to ~1e-9 relative there: past that
+    # both refinements land on a rounding-noise sign change
+    tp, ref = gbz_touching_point(g), _brentq_touching_point(g)
+    assert tp.imag == 0
+    assert abs(tp.real - ref) <= 3e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("method", ["obc_fit", "charpoly"])
+def test_touching_point_matches_brentq_on_the_presets(model_a, model_b, model_c, method):
+    for m in (model_a, model_b, model_c):
+        _assert_matches_brentq(gbz_compute(m.with_(gamma=0.0), method))
+
+
+def test_touching_point_matches_brentq_on_random_chains():
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        _assert_matches_brentq(gbz_compute(
+            make_model(Family.GT, *rng.uniform(0.5, 15.0, 4)), "charpoly"))
+
+
+def test_touching_point_refines_a_smooth_balance_to_brentq_tolerance(model_a, monkeypatch):
+    """With the balance replaced by log(|beta| / r) the subdivision must stop
+    within brentq's xtol (2e-12) of r, after one scan and six 65-point
+    calls: a scalar bisection would take some 40."""
+    g = gbz_compute(model_a.with_(gamma=0.0))
+    r = abs(gbz_touching_point(g)) * (1 + 1e-3 * np.pi)
+    calls = []
+
+    def smooth(model, betas, branch):
+        calls.append(len(betas))
+        return np.log(np.abs(betas) / r)
+    monkeypatch.setattr(gbz_mod, "_balance", smooth)
+    assert abs(gbz_touching_point(g) + r) <= 2e-12
+    assert calls == [80] + [65] * 6
 
 
 def test_methods_cross_validate(model_b):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhskin import (Family, ValidationError, eig_biorthogonal, make_model,
-                    obc_spectrum, pair_with_negated_conjugate, pbc_spectrum,
+from nhskin import (Family, ValidationError, eig_biorthogonal, gbz_compute,
+                    make_model, obc_spectrum, pair_with_negated_conjugate, pbc_spectrum,
                     real_space_hamiltonian, spectral_radius)
 from nhskin.gbz import _chain_eigenvalues
 from nhskin.model import _hopping_blocks, non_bloch_hamiltonians
@@ -128,6 +129,32 @@ def test_stacked_eig_matches_per_matrix_calls(model_a, rng):
             assert np.max(np.abs(G - np.eye(4))) <= 1e-10
             key = list(zip(w.real, w.imag))
             assert key == sorted(key)
+
+
+def test_stacked_eig_matches_scipy_on_the_fig4a_gbz_cells(model_a):
+    """The 316 Bloch cells H(beta) on the obc_fit GBZ of phase A, solved as
+    one stack, against per-matrix scipy.linalg.eig solves."""
+    gbz = gbz_compute(model_a.with_(gamma=0.0))
+    H = non_bloch_hamiltonians(model_a, gbz.betas)
+    assert H.shape == (316, 4, 4)
+    stack = eig_biorthogonal(H)
+    G = np.einsum("kia,kib->kab", stack.left_vectors.conj(), stack.right_vectors)
+    assert np.max(np.abs(G - np.eye(4))) <= 1e-12
+    for k in range(len(H)):
+        w, vr = scipy.linalg.eig(H[k])
+        order = np.lexsort((w.imag, w.real))
+        scale = np.max(np.abs(w))
+        assert np.max(np.abs(stack.eigenvalues[k] - w[order])) <= 1e-13 * scale, k
+        assert stack.condition_number[k] == pytest.approx(np.linalg.cond(vr), rel=1e-10)
+
+
+def test_stack_with_only_real_eigenvalues_keeps_complex_eigenvalues(rng):
+    """NumPy returns a real stack whose eigenvalues are all real in real
+    arithmetic; the spectrum is still complex."""
+    A = rng.normal(size=(5, 4, 4))
+    spec = eig_biorthogonal(A + A.swapaxes(-1, -2))
+    assert spec.eigenvalues.dtype == complex and spec.right_vectors.dtype == complex
+    assert np.all(spec.eigenvalues.imag == 0)
 
 
 def test_stacked_eig_warns_once_with_the_largest_condition_number():
