@@ -5,9 +5,9 @@ and transition sweeps."""
 
 from .analysis import (PATH1, PATH2, GbzProjection, ModeDecomposition,
                        PathSpec, Phase, PhaseDiagram, PhaseLabel,
-                       classify_phase, growth_rate, hn_direction,
-                       laplace_projection, obc_decomposition,
-                       scan_phase_diagram, transition_sweep)
+                       classify_phase, growth_rate, laplace_projection,
+                       obc_decomposition, scan_phase_diagram,
+                       transition_sweep)
 from .dynamics import (EnergyTrace, Spectrogram, WaveField, default_time_grid,
                        energy_trace, evolve, packet_center, poke_state, stft,
                        synthesize_signal)

@@ -181,7 +181,7 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0) -> PhaseLabel
     if model.family is not Family.GT:
         raise ValidationError("phase classification is defined for the double chain")
     m0 = model.with_(gamma=0.0)
-    if m0.t3 == m0.t4:
+    if m0.is_hermitian:
         return PhaseLabel(Phase.HERMITIAN_LINE, 0.0, _hermitian_gap(m0), None)
     if abs(m0.t3 - m0.t4) < boundary_tol:
         return PhaseLabel(Phase.BOUNDARY, np.nan, np.nan, None)
@@ -233,19 +233,6 @@ def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),
             labels[i4, i3] = lab
             im_mag[i4, i3] = lab.max_abs_im if np.isfinite(lab.max_abs_im) else 0.0
     return PhaseDiagram(t3s, t4s, labels, im_mag)
-
-
-def hn_direction(t1: float, t2: float) -> Direction:
-    """Skin direction of the single-band nonreciprocal chain.
-
-    The GBZ is a circle of radius sqrt(t2/t1) with the convention that t1
-    carries amplitude leftward, so t1 > t2 piles states up on the left.
-    """
-    if t1 > t2:
-        return Direction.LEFT
-    if t1 < t2:
-        return Direction.RIGHT
-    return Direction.NONE
 
 
 def growth_rate(trace: EnergyTrace, fit_fraction: float = 0.25) -> float:

@@ -21,6 +21,7 @@ number in the message.
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +43,6 @@ def _floats(values) -> list[str]:
     """A float array (any shape, C order) as 17-digit field strings."""
     return list(map(FLOAT_FMT.__mod__,
                     np.asarray(values, dtype=float).ravel().tolist()))
-
-
-def _text(value) -> str:
-    """One non-float field, quoted as csv.writer's minimal quoting does."""
-    s = "" if value is None else str(value)
-    if any(c in s for c in ',"\r\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
 
 
 def _repeat(fields: list[str], n: int) -> list[str]:
@@ -75,9 +68,10 @@ def _write_rows(fh, columns) -> None:
 
 
 def _write_table(path, header, blocks) -> None:
-    """Write the header, then each block (a list of columns) in turn."""
+    """Write the header (plain names, which need no quoting), then each
+    block (a list of columns) in turn."""
     with Path(path).open("w", newline="") as fh:
-        _write_rows(fh, [[_text(h)] for h in header])
+        fh.write(",".join(header) + "\r\n")
         for columns in blocks:
             _write_rows(fh, columns)
 
@@ -100,13 +94,6 @@ def _grid_blocks(outer, inner: list[str], *values):
         head = outer[i:i + step]
         yield [_repeat(head, len(inner)), inner * len(head),
                *(_column(v[i:i + step]) for v in values)]
-
-
-def write_csv(path, header: list[str], rows) -> None:
-    """Write equal-length rows of numbers/strings; floats use the 17-digit format."""
-    columns = [[FLOAT_FMT % v if isinstance(v, float) else _text(v) for v in col]
-               for col in zip(*rows)]
-    _write_table(path, header, [columns])
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -171,9 +158,9 @@ def write_sweep_csv(out, sweep) -> None:
     """``sweep.csv`` and one ``energy_m<m>.csv`` per sample into directory
     ``out``; the samples share one time grid, so its column is formatted once."""
     names = sweep_energy_names(sweep.m_values)
-    write_csv(Path(out) / "sweep.csv", ["m", "t3", "t4", "lambda"],
-              [(float(m), *map(float, sweep.path.hoppings(m)), float(lam))
-               for m, lam in zip(sweep.m_values, sweep.growth_rates)])
+    ms = _column(sweep.m_values)
+    _write_table(Path(out) / "sweep.csv", ["m", "t3", "t4", "lambda"],
+                 [[ms, *sweep.path.hoppings(ms), _column(sweep.growth_rates)]])
     times = _floats(sweep.traces[0].times)
     for name, trace in zip(names, sweep.traces):
         _write_table(Path(out) / name, ["time", "P"],
@@ -305,17 +292,23 @@ def _positive(text: str) -> float:
     return value
 
 
-def _four_or_more(text: str) -> int:
-    value = int(text)
-    if value < 4:
-        raise ValueError(text)
-    return value
+@dataclass(frozen=True)
+class _AtLeast:
+    """Converter of an integer >= ``low``."""
+
+    low: int
+
+    def __call__(self, text: str) -> int:
+        value = int(text)
+        if value < self.low:
+            raise ValueError(text)
+        return value
 
 
 #: what a value that a converter rejects should have been
 _EXPECTED = {float: "a number", int: "an integer", _bool: "true or false",
              _nonnegative: "a finite number >= 0", _positive: "a finite number > 0",
-             _four_or_more: "an integer >= 4"}
+             **{_AtLeast(k): f"an integer >= {k}" for k in (1, 2, 4)}}
 
 #: every key per section as (type, default); a type is a converter of the
 #: key's text or a dict of its options.  The [model] and [gbz] keys are the
@@ -324,7 +317,7 @@ CONFIG_SCHEMA = {
     "model": {"family": ({f.value: f for f in Family}, REQUIRED),
               "t1": (float, REQUIRED), "t2": (float, REQUIRED),
               "t3": (float, REQUIRED), "t4": (float, REQUIRED),
-              "omega0": (float, 0.0), "gamma": (float, 0.0), "n_cells": (int, 10),
+              "omega0": (float, 0.0), "gamma": (float, 0.0), "n_cells": (_AtLeast(1), 10),
               "nhssh_delta": (float, None)},
     "evolve": {"horizon": (_nonnegative, 20.0), "fs": (_positive, 500.0),
                "poke_site": (int, 20)},
@@ -334,11 +327,11 @@ CONFIG_SCHEMA = {
     "stft": {"window_s": (_positive, 2.0), "hop_s": (_positive, 0.1)},
     "phase_diagram": {"t3_min": (float, REQUIRED), "t3_max": (float, REQUIRED),
                       "t4_min": (float, REQUIRED), "t4_max": (float, REQUIRED),
-                      "resolution": (int, REQUIRED),
+                      "resolution": (_AtLeast(2), REQUIRED),
                       # each label fits the GBZ of its chain, which needs 4 cells
-                      "n_cells": (_four_or_more, 25)},
-    "sweep": {"path": ({"1": PATH1, "2": PATH2}, PATH1), "samples": (int, 13),
-              "horizon": (_positive, 80.0), "n_cells": (int, 10)},
+                      "n_cells": (_AtLeast(4), 25)},
+    "sweep": {"path": ({"1": PATH1, "2": PATH2}, PATH1), "samples": (_AtLeast(2), 13),
+              "horizon": (_positive, 80.0), "n_cells": (_AtLeast(1), 10)},
 }
 
 

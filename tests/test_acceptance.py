@@ -59,7 +59,7 @@ def test_criterion_1_phase_a_beat_frequency(_verdict_printer):
 
 def test_criterion_2_phase_b_amplification_threshold(_verdict_printer):
     m = _model(PARAMS_B, gamma=0.0)
-    w = pbc_spectrum(m, n_k=256).eigenvalues
+    w = pbc_spectrum(m, n_k=256)
     max_im_hz = w.imag.max() / (2 * np.pi)
     dominant = w[w.imag > w.imag.max() - 1e-6]
     re_hz = np.max(np.abs(dominant.real)) / (2 * np.pi)

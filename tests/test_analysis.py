@@ -6,10 +6,10 @@ import pytest
 from nhskin import (PATH1, PATH2, Direction, Family, Phase, SymmetryOp,
                     ValidationError, apply_symmetry, classify_phase,
                     default_time_grid, energy_trace, evolve, gap_report,
-                    gbz_compute, growth_rate, hn_direction, laplace_projection,
+                    GbzMethod, gbz_compute, growth_rate, laplace_projection,
                     make_model, non_bloch_hamiltonian, obc_decomposition,
                     obc_spectrum, poke_state, scan_phase_diagram,
-                    transition_sweep)
+                    skin_direction, transition_sweep)
 from nhskin.dynamics import WaveField
 from nhskin.spectral import eig_biorthogonal
 
@@ -178,9 +178,16 @@ def test_classify_rejects_other_families():
 
 
 def test_hn_direction_rule():
-    assert hn_direction(2.0, 1.0) is Direction.LEFT
-    assert hn_direction(1.0, 2.0) is Direction.RIGHT
-    assert hn_direction(1.0, 1.0) is Direction.NONE
+    """The Hatano-Nelson GBZ is the circle |beta| = sqrt(t2/t1), and t1
+    carries amplitude leftward, so t1 > t2 piles states up on the left."""
+    for (t1, t2), direction, mean in (((2.0, 1.0), Direction.LEFT, -np.log(2) / 2),
+                                      ((1.0, 2.0), Direction.RIGHT, np.log(2) / 2),
+                                      ((1.0, 1.0), Direction.NONE, 0.0)):
+        m = make_model(Family.HATANO_NELSON, t1, t2, 1, 1)
+        for method in GbzMethod:
+            sd = skin_direction(gbz_compute(m, method))
+            assert sd.direction is direction, method
+            assert sd.mean_log_modulus == pytest.approx(mean, abs=1e-12), method
 
 
 def test_scan_small_grid_symmetry():

@@ -313,9 +313,18 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     # a phase label fits the GBZ of the chain, which needs 4 cells
     ("phase-diagram", "[phase_diagram]\nresolution = 4\nn_cells = 3\n",
      "bad.cfg:3: [phase_diagram] n_cells = '3' is not an integer >= 4"),
+    ("spectrum", "[model]\nn_cells = 0\n",
+     "bad.cfg:2: [model] n_cells = '0' is not an integer >= 1"),
+    ("sweep", "[sweep]\nsamples = 3\nn_cells = 0\n",
+     "bad.cfg:3: [sweep] n_cells = '0' is not an integer >= 1"),
+    ("phase-diagram", "[phase_diagram]\nresolution = 1\n",
+     "bad.cfg:2: [phase_diagram] resolution = '1' is not an integer >= 2"),
+    ("sweep", "[sweep]\nsamples = 1\n",
+     "bad.cfg:2: [sweep] samples = '1' is not an integer >= 2"),
 ], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min", "horizon_negative",
         "horizon_nan", "fs_zero", "cross_tol_negative", "window_below_one_sample",
-        "hop_below_one_sample", "bc", "phase_diagram_n_cells_below_4"])
+        "hop_below_one_sample", "bc", "phase_diagram_n_cells_below_4",
+        "model_n_cells_0", "sweep_n_cells_0", "resolution_1", "sweep_samples_1"])
 def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
                                                         text, where):
     cfg = _write(tmp_path, "bad.cfg", text)

@@ -17,7 +17,7 @@ from nhskin.analysis import PATH1, Phase
 from nhskin.cli import main
 from nhskin.io import (CONFIG_SCHEMA, FLOAT_FMT, REQUIRED, load_config,
                        model_from_config, parse_config, read_csv,
-                       read_wavefield_npz, typed_config, write_coefficients_csv, write_csv,
+                       read_wavefield_npz, typed_config, write_coefficients_csv,
                        write_energy_csv, write_gbz_csv, write_phase_diagram_csv,
                        write_spectrogram_csv, write_spectrum_csv,
                        write_svg_heatmap, write_svg_scatter,
@@ -31,10 +31,11 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False,
 @settings(max_examples=50, deadline=None)
 def test_csv_roundtrip_is_exact(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("csv") / "vals.csv"
-    write_csv(path, ["v"], ((float(v),) for v in values))
+    write_energy_csv(path, SimpleNamespace(times=np.array(values), P=-np.array(values)))
     _, rows = read_csv(path)
-    back = [float(r[0]) for r in rows]
-    assert back == values   # bit-exact, not approximately equal
+    # bit-exact, not approximately equal
+    assert [float(r[0]) for r in rows] == values
+    assert [float(r[1]) for r in rows] == [-v for v in values]
 
 
 def test_spectrum_csv_roundtrip(tmp_path, model_a):
@@ -201,16 +202,6 @@ def test_sweep_energy_names_reject_samples_that_share_a_file():
     assert len(set(names)) == 1451 and names[-1] == "energy_m1.450.csv"
     with pytest.raises(ConfigError, match=r"share the energy file energy_m\d\.\d{3}\.csv"):
         nio.sweep_energy_names(PATH1.samples(1452))
-
-
-def test_write_csv_mixed_fields_match_row_oracle(tmp_path):
-    rows = [(np.float64(0.1), 3, "plain", None),
-            (-0.0, np.int64(-2), 'has "quotes"', "a,b"),
-            (1e300, True, "two\nlines", ""),
-            (np.nan, -np.inf, "%s %d", "100%")]
-    header = ["x", "n, count", 'say "text"', "note"]
-    write_csv(tmp_path / "mixed.csv", header, rows)
-    assert (tmp_path / "mixed.csv").read_bytes() == _oracle_csv(header, rows)
 
 
 def test_wavefield_npz_roundtrip_is_exact_and_stored(tmp_path):
