@@ -15,7 +15,7 @@ from .errors import (ConfigError, CrossValidationError, DegreeCollapseError,
                      HorizonTruncationError, NhskinError, NoTouchingPointError,
                      NumericalError, ValidationError)
 from .gbz import (GBZ, Direction, GapReport, GbzMethod, SkinDirection,
-                  charpoly_beta_roots, gap_report, gbz_compute,
+                  chain_eigenvalues, charpoly_beta_roots, gap_report, gbz_compute,
                   gbz_touching_point, skin_direction)
 from .model import (Family, LatticeModel, SymmetryOp,
                     apply_symmetry, bloch_hamiltonian, make_model,

@@ -180,13 +180,12 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0) -> PhaseLabel
     """
     if model.family is not Family.GT:
         raise ValidationError("phase classification is defined for the double chain")
-    m0 = model.with_(gamma=0.0)
-    if m0.is_hermitian:
-        return PhaseLabel(Phase.HERMITIAN_LINE, 0.0, _hermitian_gap(m0), None)
-    if abs(m0.t3 - m0.t4) < boundary_tol:
+    if model.is_hermitian:
+        return PhaseLabel(Phase.HERMITIAN_LINE, 0.0, _hermitian_gap(model), None)
+    if abs(model.t3 - model.t4) < boundary_tol:
         return PhaseLabel(Phase.BOUNDARY, np.nan, np.nan, None)
-    g = gbz_compute(m0, GbzMethod.OBC_FIT, n_sites=m0.n_sites)
-    report = gap_report(m0, g)
+    g = gbz_compute(model, GbzMethod.OBC_FIT, n_sites=model.n_sites)
+    report = gap_report(g, g.chain_eigenvalues)
     sd = skin_direction(g)
     if sd.direction is Direction.NONE:
         # no skin direction despite non-Hermiticity
@@ -250,13 +249,13 @@ def growth_rate(trace: EnergyTrace, fit_fraction: float = 0.25) -> float:
 
 def transition_sweep(path: PathSpec, m_samples, t_grid: np.ndarray,
                      n_cells: int = 10) -> TransitionSweep:
-    """Poke the middle site of each undamped model along a parameter path.
+    """Poke the middle site of the undamped model at each path parameter m
+    of the array ``m_samples`` (for instance ``path.samples(n)``).
 
     Returns the energy traces P(t) and the fitted late-time growth rates
     lambda(m) (slope of log P over the last quarter of the horizon).
     """
-    ms = (path.samples(m_samples) if np.isscalar(m_samples)
-          else np.asarray(m_samples, dtype=float))
+    ms = np.asarray(m_samples, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     traces = []
     for m in ms:

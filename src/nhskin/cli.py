@@ -19,7 +19,8 @@ from .analysis import (laplace_projection, obc_decomposition, scan_phase_diagram
 from .dynamics import (WaveField, default_time_grid, energy_trace, evolve,
                        poke_state, stft)
 from .errors import ConfigError, NhskinError, NumericalError, ValidationError
-from .gbz import gap_report, gbz_compute, gbz_touching_point, skin_direction
+from .gbz import (_check_n_sites, chain_eigenvalues, gap_report, gbz_compute,
+                  gbz_touching_point, skin_direction)
 from .spectral import obc_spectrum, spectral_radius
 
 # Parameter sets quoted from the source experiments (rad/s; 10 unit cells).
@@ -90,9 +91,20 @@ def cmd_spectrum(args, cfg) -> int:
     return 0
 
 
+def _gbz_from_config(cfg, model):
+    """The GBZ that the [gbz] section asks for.  A chain length that the
+    model's family cannot fit is rejected first, naming what set [gbz]."""
+    block = cfg["gbz"]
+    try:
+        _check_n_sites(model, block["n_sites"])
+    except ValidationError as exc:
+        raise ConfigError(f"{block.where}: [gbz] {exc}") from None
+    return gbz_compute(model, **block)
+
+
 def cmd_gbz(args, cfg) -> int:
     model = nio.model_from_config(cfg)
-    g = gbz_compute(model, **cfg["gbz"])
+    g = _gbz_from_config(cfg, model)
     out = _outdir(args)
     if args.format in ("csv", "both"):
         nio.write_gbz_csv(out / "gbz.csv", g)
@@ -105,22 +117,22 @@ def cmd_gbz(args, cfg) -> int:
         touch_txt = f"touching point beta = {touch.real:.6g}{touch.imag:+.3g}j"
     except NumericalError:
         touch_txt = "no touching point"
-    gap = gap_report(model, gbz=g).line_gap_width
+    gap = gap_report(g, chain_eigenvalues(model)).line_gap_width
     print(f"gbz: {len(g.betas)} points, direction = {sd.direction.value}, "
           f"mean log|beta| = {sd.mean_log_modulus:.4g}, {touch_txt}, "
           f"line gap = {gap:.6g} rad/s")
     return 0
 
 
-def _evolve_from_config(cfg):
-    model = nio.model_from_config(cfg)
+def _evolve_from_config(cfg, model):
     block = cfg["evolve"]
     t = default_time_grid(block["horizon"], block["fs"])
-    return model, evolve(model, poke_state(model, block["poke_site"]), t)
+    return evolve(model, poke_state(model, block["poke_site"]), t)
 
 
 def cmd_evolve(args, cfg) -> int:
-    model, field = _evolve_from_config(cfg)
+    model = nio.model_from_config(cfg)
+    field = _evolve_from_config(cfg, model)
     # site-1 spectrogram of the synthesized carrier signal, computed before
     # any write so that a rejected window or hop leaves no artifact behind
     fs = cfg["evolve"]["fs"]
@@ -151,8 +163,9 @@ def cmd_evolve(args, cfg) -> int:
 
 
 def cmd_project(args, cfg) -> int:
-    model, field = _evolve_from_config(cfg)
-    g = gbz_compute(model.with_(gamma=0.0), **cfg["gbz"])
+    model = nio.model_from_config(cfg)
+    g = _gbz_from_config(cfg, model)    # first: a rejected [gbz] wastes no propagation
+    field = _evolve_from_config(cfg, model)
     # decimate both coefficient sets to about 200 output times, keeping the
     # last one, which picks the dominant late mode
     last = len(field.times) - 1

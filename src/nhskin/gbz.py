@@ -57,8 +57,10 @@ class GBZ:
     """GBZ point set: one (beta, E) entry per point, grouped into the two
     band-pair components (0 = smaller |Re E| pair at that beta).
 
-    ``chain_eigenvalues`` holds every OBC eigenvalue of the fitted chain
-    (``obc_fit`` only), which :func:`gap_report` reuses for that chain.
+    ``model`` is the model it was computed for, damping included.
+    ``chain_eigenvalues`` holds every eigenvalue of the undamped open chain
+    that ``obc_fit`` fitted (None for ``charpoly``), which
+    :func:`gap_report` can judge when that chain is the one classified.
     ``charpoly`` points are the aGBZ roots that pass its middle-pair test,
     at 60 phase differences theta, so they are spaced uniformly in theta,
     not in arg(beta)."""
@@ -66,8 +68,6 @@ class GBZ:
     betas: np.ndarray
     energies: np.ndarray
     band_pair: np.ndarray
-    method: GbzMethod
-    n_sites_used: int
     model: LatticeModel
     chain_eigenvalues: np.ndarray | None
 
@@ -252,8 +252,12 @@ def charpoly_beta_roots(model: LatticeModel, E: complex) -> np.ndarray:
     return _roots_many(coeffs)[0]
 
 
-def _middle_pair_indices(d: int):
-    return d // 2 - 1, d // 2
+def _middle_roots(coeffs: np.ndarray):
+    """The two middle-modulus roots of each row of ``coeffs`` (ascending),
+    the smaller one first; the one root of a linear row twice."""
+    roots = _roots_many(coeffs)
+    d = roots.shape[1]
+    return roots[:, d // 2 - 1], roots[:, d // 2]
 
 
 def _branch_energies(model: LatticeModel, betas) -> np.ndarray:
@@ -296,9 +300,8 @@ def _balance(model: LatticeModel, betas: np.ndarray, branch) -> np.ndarray:
     both energies +-E.  Only that branch's quartic is solved per beta.
     """
     Es = _branch_energies(model, betas)[np.arange(len(betas)), branch]
-    roots = _roots_many(charpoly_coefficients(model, Es))
-    i, j = _middle_pair_indices(roots.shape[1])
-    return np.log(np.abs(roots[:, i]) * np.abs(roots[:, j]) / np.abs(betas) ** 2)
+    a, b = _middle_roots(charpoly_coefficients(model, Es))
+    return np.log(np.abs(a) * np.abs(b) / np.abs(betas) ** 2)
 
 
 def _polymul2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -362,15 +365,13 @@ def _agbz_points(model: LatticeModel, w: np.ndarray):
         cp = np.vander(E, table.shape[1], increasing=True) @ table.T
         ok = np.all(np.isfinite(cp), axis=1) & ~_degree_collapsed(cp)
     k, betas, shifted, E = k[ok], betas[ok], shifted[ok], E[ok]
-    roots = _roots_many(cp[ok])
-    i, j = _middle_pair_indices(roots.shape[1])
+    a, b = _middle_roots(cp[ok])
     r = np.abs(betas)
 
     def close(x, y):
         return np.abs(x - y) < 1e-5 * r
-    keep = ((np.abs(np.abs(roots[:, i]) - np.abs(roots[:, j])) < 1e-6 * r)
-            & ((close(roots[:, i], betas) & close(roots[:, j], shifted))
-               | (close(roots[:, j], betas) & close(roots[:, i], shifted))))
+    keep = ((np.abs(np.abs(a) - np.abs(b)) < 1e-6 * r)
+            & ((close(a, betas) & close(b, shifted)) | (close(b, betas) & close(a, shifted))))
     return k[keep], betas[keep], E[keep]
 
 
@@ -392,24 +393,16 @@ def _band_pairs(model: LatticeModel, betas: np.ndarray, energies: np.ndarray) ->
     return (d_large < d_small).astype(int)
 
 
-def _fit_chain(model: LatticeModel, n_sites: int) -> LatticeModel:
-    """The undamped open chain of ``n_sites`` sites that ``obc_fit`` diagonalizes."""
-    return model.with_(gamma=0.0, n_cells=n_sites // model.sites_per_cell)
-
-
-def _chain_eigenvalues(model: LatticeModel, n_sites: int) -> np.ndarray:
-    """Eigenvalues of the undamped open chain of ``n_sites`` sites, which is
-    real for every family and so is solved in real arithmetic."""
-    H = real_space_hamiltonian(_fit_chain(model, n_sites))
+def chain_eigenvalues(model: LatticeModel) -> np.ndarray:
+    """Eigenvalues of the model's open chain without its uniform damping.
+    That chain is real for every family, so it is solved in real arithmetic."""
+    H = real_space_hamiltonian(model.with_(gamma=0.0))
     return np.linalg.eigvals(real_if_exact(H)).astype(complex, copy=False)
 
 
 def _obc_fit_gbz(model: LatticeModel, n_sites: int):
-    w = _chain_eigenvalues(model, n_sites)
-    coeffs = charpoly_coefficients(model, w)
-    roots = _roots_many(coeffs)
-    i, j = _middle_pair_indices(roots.shape[1])
-    b2, b3 = roots[:, i], roots[:, j]
+    w = chain_eigenvalues(model.with_(n_cells=n_sites // model.sites_per_cell))
+    b2, b3 = _middle_roots(charpoly_coefficients(model, w))
     # a bulk eigenvalue's middle roots agree in modulus to 1%; an edge mode
     # in the line gap decays away from one end, so its middle roots do not
     ok = np.abs(np.abs(b2) - np.abs(b3)) < 1e-2 * np.abs(b2)
@@ -439,6 +432,13 @@ def _charpoly_gbz(model: LatticeModel, n_theta: int = 60):
     return np.repeat(betas, 2), np.stack([energies, -energies], axis=1).ravel()
 
 
+def _check_n_sites(model: LatticeModel, n_sites: int) -> None:
+    """``obc_fit`` needs whole cells, and at least 4 of them."""
+    s = model.sites_per_cell
+    if n_sites % s != 0 or n_sites < 4 * s:
+        raise ValidationError(f"n_sites = {n_sites} must be a multiple of {s} and >= {4 * s}")
+
+
 def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 160,
                 cross_check: bool = False, cross_tol: float = 1e-3) -> GBZ:
     """Compute the GBZ of a model by the requested method.
@@ -448,9 +448,7 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
     raises :class:`CrossValidationError` instead of being silently resolved.
     """
     method = GbzMethod(method)
-    s = model.sites_per_cell
-    if n_sites % s != 0 or n_sites < 4 * s:
-        raise ValidationError(f"n_sites must be a multiple of {s} and >= {4 * s}")
+    _check_n_sites(model, n_sites)
     if method is GbzMethod.OBC_FIT:
         betas, energies, chain_eigenvalues = _obc_fit_gbz(model, n_sites)
     else:
@@ -459,7 +457,7 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
     if len(betas) == 0:
         raise ValidationError("no GBZ points found")
     band_pair = _band_pairs(model, betas, energies)
-    out = GBZ(betas, energies, band_pair, method, n_sites, model, chain_eigenvalues)
+    out = GBZ(betas, energies, band_pair, model, chain_eigenvalues)
     if cross_check:
         ref = (out if method is GbzMethod.OBC_FIT
                else gbz_compute(model, GbzMethod.OBC_FIT, n_sites))
@@ -490,10 +488,8 @@ def _radial_refine_many(model: LatticeModel, betas: np.ndarray,
     """Continuum GBZ radius near each ``beta``: the modulus of the GBZ point
     nearest it among the aGBZ roots at the phase difference w of the middle
     root pair at its energy; NaN where that w has no GBZ point."""
-    roots = _roots_many(charpoly_coefficients(model, energies))
-    i, j = _middle_pair_indices(roots.shape[1])
-    own = np.abs(roots[:, i] - betas) <= np.abs(roots[:, j] - betas)
-    w = np.where(own, roots[:, j] / roots[:, i], roots[:, i] / roots[:, j])
+    b2, b3 = _middle_roots(charpoly_coefficients(model, energies))
+    w = np.where(np.abs(b2 - betas) <= np.abs(b3 - betas), b3 / b2, b2 / b3)
     k, b, _ = _agbz_points(model, w / np.abs(w))
     # the first root of each point once sorted by point, then by distance
     order = np.lexsort((np.abs(b - betas[k]), k))
@@ -560,23 +556,17 @@ def skin_direction(gbz: GBZ) -> SkinDirection:
     return SkinDirection(d, m)
 
 
-def gap_report(model: LatticeModel, gbz: GBZ) -> GapReport:
+def gap_report(gbz: GBZ, eigenvalues: np.ndarray) -> GapReport:
     """Bulk line-gap width, in-gap mode count, and spectrum-realness flags.
 
     The gap is measured on the non-Bloch bulk bands sampled over the GBZ
-    (which excludes topological in-gap edge modes by construction), while
-    realness is judged on the OBC eigenvalues of the model itself with the
-    uniform damping removed.  When ``gbz`` was fitted on the model's own
-    chain, its eigenvalues are reused instead of diagonalizing the chain
-    again.
+    (which excludes topological in-gap edge modes by construction).  Realness,
+    the in-gap modes and the tolerance scale are judged on ``eigenvalues``,
+    the open-chain eigenvalues of the model being judged without its uniform
+    damping: :func:`chain_eigenvalues` of the model, or the GBZ's own
+    ``chain_eigenvalues`` when it was fitted on that chain.
     """
-    if (gbz.chain_eigenvalues is not None
-            and _fit_chain(gbz.model, gbz.n_sites_used) == _fit_chain(model, model.n_sites)):
-        eigs0 = gbz.chain_eigenvalues
-    else:
-        # only eigenvalues are needed here; skip the eigenvector conditioning
-        eigs0 = _chain_eigenvalues(model, model.n_sites)
-    radius = max(float(np.max(np.abs(eigs0))), 1e-300)
+    radius = max(float(np.max(np.abs(eigenvalues))), 1e-300)
     tol_im, tol_gap = 1e-6 * radius, 1e-3 * radius
     re_abs = np.sort(np.abs(gbz.energies.real))
     e0 = re_abs[0]
@@ -588,9 +578,6 @@ def gap_report(model: LatticeModel, gbz: GBZ) -> GapReport:
     spacing = float(d[(len(d) - 1) // 2] + d[len(d) // 2]) / 2 if n_edge >= 1 else 0.0
     gapless = e0 < max(tol_gap, 4 * spacing)
     width = 0.0 if gapless else 2 * e0
-    if width > 0:
-        in_gap = int(np.sum(np.abs(eigs0.real) < width / 2 - tol_gap))
-    else:
-        in_gap = 0
-    max_im = float(np.max(np.abs(eigs0.imag)))
+    in_gap = int(np.sum(np.abs(eigenvalues.real) < width / 2 - tol_gap)) if width > 0 else 0
+    max_im = float(np.max(np.abs(eigenvalues.imag)))
     return GapReport(width, in_gap, bool(max_im < tol_im), max_im)

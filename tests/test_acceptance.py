@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nhskin import (PATH2, Direction, Family, Phase, SymmetryOp,
-                    apply_symmetry, classify_phase, default_time_grid,
+                    apply_symmetry, chain_eigenvalues, classify_phase, default_time_grid,
                     energy_trace, evolve, gap_report, gbz_compute,
                     gbz_touching_point, growth_rate, make_model,
                     obc_decomposition, obc_spectrum,
@@ -192,7 +192,7 @@ def test_criterion_9_decomposition_convergence(_verdict_printer):
     w = dec.spectrum.eigenvalues
     j = int(np.argmax(np.abs(dec.coefficients[-1])))
     m0 = mc.with_(gamma=0.0)
-    edge = gap_report(m0, gbz_compute(m0)).line_gap_width / 2
+    edge = gap_report(gbz_compute(m0), chain_eigenvalues(m0)).line_gap_width / 2
     hit_c = abs(abs(w.real[j]) - edge) < 0.15 * edge
     ok &= hit_c
     notes.append(f"C: |Re E_dom| = {abs(w.real[j]):.3f} vs gap edge {edge:.3f}")

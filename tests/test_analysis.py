@@ -159,8 +159,12 @@ def test_classify_hermitian_line():
 
 
 def test_classify_gamma_invariant(model_a):
-    for g in (0.0, 2.8):
-        assert classify_phase(model_a.with_(gamma=g)).label is Phase.A
+    """A uniform damping only shifts the spectrum: the whole label, with its
+    evidence, is that of the undamped model."""
+    undamped = classify_phase(model_a.with_(gamma=0.0))
+    assert undamped.label is Phase.A
+    for g in (1.5, 2.8):
+        assert classify_phase(model_a.with_(gamma=g)) == undamped
 
 
 def test_classify_mx_swaps_primed(model_a, model_b, model_c):
@@ -221,7 +225,8 @@ def test_scan_diagonalizes_each_chain_once(monkeypatch):
     assert len(chain_calls) == len(off_diagonal)
     for i4, i3 in off_diagonal:
         m = make_model(Family.GT, 1, 2, d.t3_grid[i3], d.t4_grid[i4], n_cells=8)
-        rep = gap_report(m, gbz=gbz_compute(m, n_sites=m.n_sites))
+        g = gbz_compute(m, n_sites=m.n_sites)
+        rep = gap_report(g, g.chain_eigenvalues)
         assert d.labels[i4, i3].max_abs_im == rep.max_abs_im
         assert d.labels[i4, i3].line_gap == rep.line_gap_width
         assert d.im_magnitude[i4, i3] == rep.max_abs_im

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhskin import (default_time_grid, evolve, gap_report, gbz_compute, obc_spectrum,
-                    poke_state, stft, synthesize_signal)
+from nhskin import (chain_eigenvalues, default_time_grid, evolve, gap_report, gbz_compute,
+                    obc_spectrum, poke_state, stft, synthesize_signal)
 from nhskin.cli import PRESETS, main
 from nhskin.io import model_from_config, parse_config, read_csv, write_spectrogram_csv
 
@@ -140,7 +140,7 @@ def test_gbz_summary_reports_the_line_gap(tmp_path, capsys, preset, gap, method)
     assert main(["gbz", "--preset", preset, "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 0
     model = model_from_config(PRESETS[preset])
-    width = gap_report(model, gbz=gbz_compute(model, method)).line_gap_width
+    width = gap_report(gbz_compute(model, method), chain_eigenvalues(model)).line_gap_width
     line = capsys.readouterr().out
     assert line.endswith(f", line gap = {width:.6g} rad/s\n")
     if method == "obc_fit":
@@ -321,10 +321,17 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
      "bad.cfg:2: [phase_diagram] resolution = '1' is not an integer >= 2"),
     ("sweep", "[sweep]\nsamples = 1\n",
      "bad.cfg:2: [sweep] samples = '1' is not an integer >= 2"),
+    # the bound depends on the family's sites per cell; project checks it
+    # before it propagates the poke
+    ("gbz", "[gbz]\nn_sites = 12\n",
+     "bad.cfg:1: [gbz] n_sites = 12 must be a multiple of 4 and >= 16"),
+    ("project", "[gbz]\nn_sites = 12\n",
+     "bad.cfg:1: [gbz] n_sites = 12 must be a multiple of 4 and >= 16"),
 ], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min", "horizon_negative",
         "horizon_nan", "fs_zero", "cross_tol_negative", "window_below_one_sample",
         "hop_below_one_sample", "bc", "phase_diagram_n_cells_below_4",
-        "model_n_cells_0", "sweep_n_cells_0", "resolution_1", "sweep_samples_1"])
+        "model_n_cells_0", "sweep_n_cells_0", "resolution_1", "sweep_samples_1",
+        "gbz_n_sites_12", "project_n_sites_12"])
 def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
                                                         text, where):
     cfg = _write(tmp_path, "bad.cfg", text)

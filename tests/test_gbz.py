@@ -10,14 +10,13 @@ from scipy.signal import convolve2d
 
 from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     Family, GbzMethod, NoTouchingPointError, SymmetryOp,
-                    ValidationError, apply_symmetry, charpoly_beta_roots,
+                    ValidationError, apply_symmetry, chain_eigenvalues, charpoly_beta_roots,
                     gap_report, gbz_compute, gbz_touching_point, make_model,
                     non_bloch_hamiltonian, real_space_hamiltonian, skin_direction)
 from nhskin import gbz as gbz_mod
 from nhskin.gbz import (_agbz_table, _balance, _branch_energies, _cell_energy_sets,
-                        _chain_eigenvalues, _charpoly_gbz, _charpoly_table, _fit_chain,
-                        _middle_pair_indices, _radial_refine_many, _roots_many,
-                        charpoly_coefficients)
+                        _charpoly_gbz, _charpoly_table, _middle_roots,
+                        _radial_refine_many, _roots_many, charpoly_coefficients)
 from nhskin.model import non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
@@ -153,10 +152,8 @@ def _charpoly_gbz_per_ray(model, thetas, r_range=(0.02, 50.0), n_r=60):
     reported as (beta, E) and (beta, -E)."""
     def balance(betas):
         Es = _branch_energies(model, betas)
-        roots = _roots_many(charpoly_coefficients(model, Es.ravel()))
-        i, j = _middle_pair_indices(roots.shape[1])
-        g = np.log(np.abs(roots[:, i]) * np.abs(roots[:, j])
-                   / np.abs(np.repeat(betas, Es.shape[1])) ** 2)
+        a, b = _middle_roots(charpoly_coefficients(model, Es.ravel()))
+        g = np.log(np.abs(a) * np.abs(b) / np.abs(np.repeat(betas, Es.shape[1])) ** 2)
         return g.reshape(Es.shape), Es
 
     chiral = model.family is not Family.HATANO_NELSON
@@ -181,10 +178,9 @@ def _charpoly_gbz_per_ray(model, thetas, r_range=(0.02, 50.0), n_r=60):
                 r = np.sqrt(lo * hi)
                 beta = r * np.exp(1j * th)
                 E = balance(np.array([beta]))[1][0, branch]
-                roots = charpoly_beta_roots(model, E)
-                i, j = _middle_pair_indices(len(roots))
-                if (abs(abs(roots[i]) - abs(roots[j])) < 1e-6 * r
-                        and min(abs(roots[i] - beta), abs(roots[j] - beta)) < 1e-5 * r):
+                a, b = (x[0] for x in _middle_roots(charpoly_coefficients(model, E)))
+                if (abs(abs(a) - abs(b)) < 1e-6 * r
+                        and min(abs(a - beta), abs(b - beta)) < 1e-5 * r):
                     for e in ([E, -E] if chiral else [E]):
                         betas_out.append(beta)
                         energies_out.append(e)
@@ -366,7 +362,7 @@ def test_mx_reverses_mean_log_modulus():
 
 def test_gap_report_phase_a(model_a):
     m = model_a.with_(gamma=0.0)
-    rep = gap_report(m, gbz_compute(m))
+    rep = gap_report(gbz_compute(m), chain_eigenvalues(m))
     assert rep.line_gap_width > 0
     assert not rep.is_real_spectrum
     assert rep.in_gap_mode_count == 2
@@ -382,14 +378,14 @@ def test_gap_report_phase_a(model_a):
 
 def test_gap_report_phase_b_gapless(model_b):
     m = model_b.with_(gamma=0.0)
-    rep = gap_report(m, gbz_compute(m))
+    rep = gap_report(gbz_compute(m), chain_eigenvalues(m))
     assert rep.line_gap_width == 0.0
     assert not rep.is_real_spectrum
 
 
 def test_gap_report_phase_c_real(model_c):
     m = model_c.with_(gamma=0.0)
-    rep = gap_report(m, gbz_compute(m))
+    rep = gap_report(gbz_compute(m), chain_eigenvalues(m))
     assert rep.is_real_spectrum
     assert rep.max_abs_im == 0.0   # real arithmetic keeps real eigenvalues real
     assert rep.line_gap_width > 0
@@ -397,7 +393,7 @@ def test_gap_report_phase_c_real(model_c):
 
 def test_gap_report_hermitian_matches_bloch_oracle():
     m = make_model(Family.GT, 0.5, 1.0, 0.7, 0.7, n_cells=40)
-    rep = gap_report(m, gbz_compute(m))
+    rep = gap_report(gbz_compute(m), chain_eigenvalues(m))
     ks = np.linspace(-np.pi, np.pi, 2001)
     from nhskin import bloch_hamiltonian
     e0 = min(np.min(np.abs(np.linalg.eigvalsh(bloch_hamiltonian(m, k))))
@@ -493,14 +489,17 @@ def test_chain_eigenvalues_in_real_arithmetic_match_complex(family, hops, monkey
     # 40 sites: longer non-normal chains amplify rounding far beyond 1e-10,
     # so two solvers of the same chain no longer agree to that level
     m = make_model(family, *hops)
+    m = m.with_(n_cells=40 // m.sites_per_cell)
     eigvals = np.linalg.eigvals
     solved = []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
-    w = _chain_eigenvalues(m, 40)
+    w = chain_eigenvalues(m)
     assert len(solved) == 1 and np.isrealobj(solved[0])
-    ref = eigvals(real_space_hamiltonian(_fit_chain(m, 40)))
+    ref = eigvals(real_space_hamiltonian(m))
     assert w.dtype == complex
     assert _matched_error(w, ref) <= 1e-10 * np.max(np.abs(ref))
+    # the uniform damping is stripped: a damped model gives the same chain
+    assert np.array_equal(chain_eigenvalues(m.with_(gamma=1.5)), w)
 
 
 def test_non_bloch_hamiltonian_is_element_zero_of_the_stack(model_a, rng):
