@@ -263,5 +263,5 @@ def transition_sweep(path: PathSpec, m_samples, t_grid: np.ndarray,
         # each block reduced by energy_trace's row sum; the field is never held
         blocks = _blocks(model, poke_state(model, model.n_sites // 2), t)
         traces.append(EnergyTrace(t, np.concatenate(
-            [np.sum(np.abs(block) ** 2, axis=1) for _, block in blocks])))
+            [np.sum(magnitude ** 2, axis=1) for _, _, magnitude in blocks])))
     return TransitionSweep(path, ms, traces, np.array([growth_rate(tr) for tr in traces]))

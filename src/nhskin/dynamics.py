@@ -105,8 +105,9 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 
 def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
-    """Check ``psi0`` and the time grid, then yield ``(i, block)``: the
-    undamped open-chain states at ``t[i:i + len(block)]``."""
+    """Check ``psi0`` and the time grid, then yield ``(i, block, magnitude)``:
+    the undamped open-chain states at ``t[i:i + len(block)]`` and their
+    elementwise moduli, which the overflow guard has already taken."""
     psi0 = np.asarray(psi0, dtype=complex)
     n = model.n_sites
     if psi0.shape != (n,):
@@ -127,11 +128,12 @@ def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
                 W = W @ W
             if i:
                 block = block[:len(t) - i] @ W    # W = (U^B)^T
+        magnitude = np.abs(block)
         # NaN fails the comparison as well, so non-finite rows are caught
-        bad = ~(np.abs(block).max(axis=1) <= OVERFLOW_GUARD)
+        bad = ~(magnitude.max(axis=1) <= OVERFLOW_GUARD)
         if np.any(bad):
             raise HorizonTruncationError(float(t[max(i + int(np.argmax(bad)) - 1, 0)]))
-        yield i, block
+        yield i, block, magnitude
 
 
 def evolve(model: LatticeModel, psi0: np.ndarray, t_grid: np.ndarray) -> WaveField:
@@ -140,7 +142,7 @@ def evolve(model: LatticeModel, psi0: np.ndarray, t_grid: np.ndarray) -> WaveFie
     field leaves the representable range, naming the last valid time."""
     t = np.asarray(t_grid, dtype=float)
     amps = np.empty((len(t), model.n_sites), dtype=complex)
-    for i, block in _blocks(model, psi0, t):
+    for i, block, _ in _blocks(model, psi0, t):
         amps[i:i + len(block)] = block
     if model.gamma:
         amps *= np.exp(-model.gamma * t)[:, None]

@@ -21,6 +21,15 @@ Agreement of the two methods is the main internal consistency check: the
 cross-check solves the aGBZ at the phase difference of each sampled point's
 middle root pair and compares radii.
 
+The open chain that ``obc_fit`` fits, and that the gap report judges, is
+solved in the imaginary gauge that brings its GBZ near the unit circle
+(radius |beta_T| of the touching point for the double chain, the circle's
+radius for the reference models), which leaves its eigenvalues and removes
+most of its non-normality.  The chiral families are solved on half the
+sites, as E^2 = eig(C D) of the blocks joining the two sublattices; a chain
+with an eigenvalue too close to 0 for E^2 to resolve it is solved at full
+size.
+
 The double chain has four bands that the combined glide/time-reversal
 symmetry groups into two pairs (E, -conj(E)); each pair traces one GBZ
 component.  At real beta the four energies form a degenerate quadruple
@@ -37,8 +46,7 @@ import numpy as np
 
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
-from .model import Family, LatticeModel, real_space_hamiltonian
-from .spectral import real_if_exact
+from .model import _CHIRAL_SUBLATTICE, Family, LatticeModel, _hopping_blocks, _open_chain
 
 
 class GbzMethod(str, Enum):
@@ -393,11 +401,49 @@ def _band_pairs(model: LatticeModel, betas: np.ndarray, energies: np.ndarray) ->
     return (d_large < d_small).astype(int)
 
 
+def _gauge_radius(model: LatticeModel) -> float:
+    """Radius r of the imaginary gauge S = diag(r^x) that brings the open
+    chain's GBZ near the unit circle.  For the double chain it is the
+    modulus of the touching point, beta_T = -(t1 t3 + t2 t4) / (t1 t4 + t2 t3);
+    the reference models have a circular GBZ, of radius sqrt(|c_00 / c_P0|)
+    (|beta_1 beta_2| of the two beta roots at every E).  Where that is 0 or
+    infinite (NH-SSH with |delta| = t1, a one-way bond) no gauge is taken,
+    r = 1."""
+    if model.family is Family.GT:
+        t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
+        return (t1 * t3 + t2 * t4) / (t1 * t4 + t2 * t3)
+    c = _charpoly_table(model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = float(np.sqrt(abs(c[0, 0] / c[-1, 0])))
+    return r if 0 < r < np.inf else 1.0
+
+
 def chain_eigenvalues(model: LatticeModel) -> np.ndarray:
     """Eigenvalues of the model's open chain without its uniform damping.
-    That chain is real for every family, so it is solved in real arithmetic."""
-    H = real_space_hamiltonian(model.with_(gamma=0.0))
-    return np.linalg.eigvals(real_if_exact(H)).astype(complex, copy=False)
+
+    The chain is solved as S^-1 H S, S = diag(r^x) with the gauge radius r
+    of :func:`_gauge_radius` (Hatano & Nelson, PRL 77, 570 (1996); Yao &
+    Wang, PRL 121, 086803 (2018)): the same eigenvalues, far less
+    non-normal.  It is assembled from the blocks (H0, r Hp, Hm / r), so no
+    power of r is formed, and solved in real arithmetic.  A chiral chain
+    couples sublattice A only to B, so E = +-sqrt(lambda) over the
+    eigenvalues lambda of C D on half the sites, C and D its A-B and B-A
+    blocks.  Where min|lambda| < sqrt(eps) max|lambda| some E^2 keeps less
+    than half its digits, and the full gauged chain is solved instead, as
+    it is for Hatano-Nelson."""
+    h0, hp, hm = _hopping_blocks(model)
+    r = _gauge_radius(model)
+    blocks = (h0, r * hp, hm / r)
+    if model.family in _CHIRAL_SUBLATTICE:
+        a = np.isin(np.arange(model.sites_per_cell), _CHIRAL_SUBLATTICE[model.family])
+        C = _open_chain(*(blk[a][:, ~a] for blk in blocks), model.n_cells)
+        D = _open_chain(*(blk[~a][:, a] for blk in blocks), model.n_cells)
+        lam = np.linalg.eigvals(C @ D).astype(complex, copy=False)
+        size = np.abs(lam)
+        if size.min() >= np.sqrt(np.finfo(float).eps) * size.max():
+            e = np.sqrt(lam)
+            return np.concatenate([e, -e])
+    return np.linalg.eigvals(_open_chain(*blocks, model.n_cells)).astype(complex, copy=False)
 
 
 def _obc_fit_gbz(model: LatticeModel, n_sites: int):

@@ -121,6 +121,12 @@ def _hopping_blocks(model: LatticeModel):
     return tuple(np.array(block, dtype=float) for block in (h0, hp, hm))
 
 
+#: the sites of one sublattice of each chiral family's cell: every hopping
+#: joins a site of it to a site of the other, GT {1, 4} | {2, 3} and
+#: NH-SSH {1} | {2}
+_CHIRAL_SUBLATTICE = {Family.GT: (0, 3), Family.NH_SSH: (0,)}
+
+
 def bloch_hamiltonian(model: LatticeModel, k: float) -> np.ndarray:
     """Cell-periodic Bloch Hamiltonian at real wavenumber ``k``.
 
@@ -149,18 +155,24 @@ def non_bloch_hamiltonians(model: LatticeModel, betas) -> np.ndarray:
     return h0 + hp * b + hm / b
 
 
+def _open_chain(h0: np.ndarray, hp: np.ndarray, hm: np.ndarray, n_cells: int) -> np.ndarray:
+    """Dense open chain of ``n_cells`` cells in the blocks' common dtype:
+    ``h0`` on the diagonal cells, ``hp`` above and ``hm`` below."""
+    s = len(h0)
+    x = np.arange(n_cells)
+    H = np.zeros((n_cells, s, n_cells, s), dtype=np.result_type(h0, hp, hm))
+    H[x, :, x, :] = h0
+    H[x[:-1], :, x[1:], :] = hp
+    H[x[1:], :, x[:-1], :] = hm
+    return H.reshape(n_cells * s, n_cells * s)
+
+
 def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
     """Full dense Hamiltonian of the open chain of ``n_cells`` cells:
     H0 - i*gamma on the diagonal cells, Hp above and Hm below.  omega0 is
     excluded (it only rotates the global phase)."""
     h0, hp, hm = _hopping_blocks(model)
-    s, n = model.sites_per_cell, model.n_cells
-    x = np.arange(n)
-    H = np.zeros((n, s, n, s), dtype=complex)
-    H[x, :, x, :] = h0 - 1j * model.gamma * np.eye(s)
-    H[x[:-1], :, x[1:], :] = hp
-    H[x[1:], :, x[:-1], :] = hm
-    return H.reshape(n * s, n * s)
+    return _open_chain(h0 - 1j * model.gamma * np.eye(len(h0)), hp, hm, model.n_cells)
 
 
 _SWAPS = {

@@ -207,22 +207,32 @@ def test_scan_small_grid_symmetry():
 
 
 def test_scan_diagonalizes_each_chain_once(monkeypatch):
-    """The GBZ fit and the gap report of a phase point share one eigensolve
-    of the open chain, and the shared eigenvalues give the labels and
-    magnitudes the report computes on its own, bit for bit."""
+    """The GBZ fit and the gap report of a phase point share one open-chain
+    solve: a real half-size eigensolve of C D, then a real full-size one
+    only where some E^2 = lambda lies below sqrt(eps) max|lambda|.  The
+    shared eigenvalues give the labels and magnitudes the report computes
+    on its own, bit for bit."""
     eigvals = np.linalg.eigvals
-    chain_calls = []
+    solves = []
 
-    def counting(a):
-        if np.shape(a)[-1] == 32:
-            chain_calls.append(1)
-        return eigvals(a)
+    def recording(a):
+        w = eigvals(a)
+        solves.append((a, w))
+        return w
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
     d = scan_phase_diagram(1, 2, (1.0, 5.0), (1.0, 5.0), resolution=4, n_cells=8)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     off_diagonal = [(i4, i3) for i4 in range(4) for i3 in range(4) if i3 != i4]
-    assert len(chain_calls) == len(off_diagonal)
+    expected = []
+    for a, w in solves:
+        if len(a) == 16:
+            expected.append(16)
+            if np.abs(w).min() < np.sqrt(np.finfo(float).eps) * np.abs(w).max():
+                expected.append(32)
+    assert [len(a) for a, _ in solves] == expected
+    assert all(np.isrealobj(a) for a, _ in solves)
+    assert expected.count(16) == len(off_diagonal)
     for i4, i3 in off_diagonal:
         m = make_model(Family.GT, 1, 2, d.t3_grid[i3], d.t4_grid[i4], n_cells=8)
         g = gbz_compute(m, n_sites=m.n_sites)
@@ -230,6 +240,25 @@ def test_scan_diagonalizes_each_chain_once(monkeypatch):
         assert d.labels[i4, i3].max_abs_im == rep.max_abs_im
         assert d.labels[i4, i3].line_gap == rep.line_gap_width
         assert d.im_magnitude[i4, i3] == rep.max_abs_im
+
+
+#: the fig3d grid points (i4, i3) whose 50-cell labels broke the mirror
+#: relation when the open chain was solved without the imaginary gauge
+FIG3D_MIRROR_PAIRS = [(2, 19), (6, 16), (7, 15), (7, 16), (7, 19), (7, 20), (8, 14),
+                      (8, 15), (8, 16), (9, 14), (9, 15), (10, 17), (10, 20)]
+
+
+def test_labels_mirror_at_50_cells():
+    """label(t3, t4) is the primed label(t4, t3) on the fig3d grid at 50
+    cells, where the solve of the open chain decides it."""
+    swaps = {Phase.A: Phase.APRIME, Phase.B: Phase.BPRIME, Phase.C: Phase.CPRIME}
+    swaps.update({v: k for k, v in swaps.items()})
+    grid = np.linspace(0.2, 6.0, 24)
+    for i4, i3 in FIG3D_MIRROR_PAIRS:
+        t3, t4 = grid[i3], grid[i4]
+        label = classify_phase(make_model(Family.GT, 1, 2, t3, t4, n_cells=50)).label
+        mirrored = classify_phase(make_model(Family.GT, 1, 2, t4, t3, n_cells=50)).label
+        assert mirrored is swaps[label], (t3, t4, label, mirrored)
 
 
 def test_paths_share_origin():

@@ -15,7 +15,7 @@ from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     non_bloch_hamiltonian, real_space_hamiltonian, skin_direction)
 from nhskin import gbz as gbz_mod
 from nhskin.gbz import (_agbz_table, _balance, _branch_energies, _cell_energy_sets,
-                        _charpoly_gbz, _charpoly_table, _middle_roots,
+                        _charpoly_gbz, _charpoly_table, _gauge_radius, _middle_roots,
                         _radial_refine_many, _roots_many, charpoly_coefficients)
 from nhskin.model import non_bloch_hamiltonians
 
@@ -236,17 +236,18 @@ def test_charpoly_points_are_distinct_and_come_with_minus_e(family, hops):
 
 
 @pytest.mark.parametrize("phase,n_sites", [
-    ("model_a", 160), ("model_b", 160), ("model_c", 160),
-    *(pytest.param("model_a", n, marks=pytest.mark.xfail(reason=(
-        "the obc_fit GBZ loses coverage on long non-normal chains: mean log|beta| "
-        "drifts from the continuum by +0.069 at 320 sites and +0.16 at 640 on fig4a")))
-      for n in (320, 640)),
+    ("model_a", 160), ("model_b", 160), ("model_c", 160), ("model_a", 320),
+    pytest.param("model_a", 640, marks=pytest.mark.xfail(reason=(
+        "the obc_fit GBZ loses coverage on long non-normal chains: with the gauge "
+        "radius |beta_T| mean log|beta| still drifts from the continuum by -0.16 at "
+        "640 sites on fig4a, whose GBZ radii span 0.36-0.68"))),
 ])
 def test_obc_fit_mean_log_modulus_stays_near_the_continuum(phase, n_sites, request):
     m = request.getfixturevalue(phase).with_(gamma=0.0)
     fit = gbz_compute(m, n_sites=n_sites)
     continuum = gbz_compute(m, GbzMethod.CHARPOLY)
-    # 1.4e-3, 1.6e-3 and 6.4e-3 on fig4a/e/i at 160 sites
+    # -2.9e-3, +1.6e-3 and +6.4e-3 on fig4a/e/i at 160 sites, -3.0e-3 on
+    # fig4a at 320
     assert abs(fit.mean_log_modulus - continuum.mean_log_modulus) < 0.01
 
 
@@ -484,22 +485,78 @@ def test_branch_energies_square_to_lapack_eigenvalues(family, hops, rng):
         assert _matched_error(a, b) <= 1e-12 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("family,hops", FAMILIES)
-def test_chain_eigenvalues_in_real_arithmetic_match_complex(family, hops, monkeypatch):
+@pytest.mark.parametrize("family,hops,delta,solves", [
+    # fig4a and NH-SSH have edge modes near E = 0, so some E^2 = lambda is
+    # below sqrt(eps) max|lambda| and the full chain is solved after C D
+    (Family.GT, (2.1, 14.9, 11.2, 3.7), None, [20, 40]),
+    (Family.HATANO_NELSON, (2.5, 0.9, 1, 1), None, [40]),
+    (Family.NH_SSH, (1.0, 2.0, 1, 1), None, [20, 40]),
+    (Family.GT, (3.2, 6.7, 22.6, 8.4), None, [20]),   # fig4e: resolved by C D alone
+    # |delta| > t1: the GBZ radius is sqrt(|(t1 - delta) / (t1 + delta)|)
+    (Family.NH_SSH, (1.0, 2.0, 1, 1), 1.5, [20, 40]),
+    # delta = t1: a one-way bond, no gauge (r = 1)
+    (Family.NH_SSH, (1.0, 2.0, 1, 1), 1.0, [20, 40]),
+], ids=["GT-hops0", "HatanoNelson-hops1", "NHSSH-hops2", "GT-hops3",
+        "NHSSH-delta-above-t1", "NHSSH-delta-t1"])
+def test_chain_eigenvalues_in_real_arithmetic_match_complex(family, hops, delta, solves,
+                                                            monkeypatch):
     # 40 sites: longer non-normal chains amplify rounding far beyond 1e-10,
     # so two solvers of the same chain no longer agree to that level
-    m = make_model(family, *hops)
+    m = make_model(family, *hops, nhssh_delta=delta)
     m = m.with_(n_cells=40 // m.sites_per_cell)
     eigvals = np.linalg.eigvals
     solved = []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
     w = chain_eigenvalues(m)
-    assert len(solved) == 1 and np.isrealobj(solved[0])
+    assert [a.shape for a in solved] == [(n, n) for n in solves]
+    assert all(np.isrealobj(a) for a in solved)
     ref = eigvals(real_space_hamiltonian(m))
     assert w.dtype == complex
     assert _matched_error(w, ref) <= 1e-10 * np.max(np.abs(ref))
     # the uniform damping is stripped: a damped model gives the same chain
     assert np.array_equal(chain_eigenvalues(m.with_(gamma=1.5)), w)
+
+
+def test_half_size_solve_matches_the_gauged_chain_at_obc_fit_length(monkeypatch):
+    # fig4e at obc_fit's 160 sites: the ungauged chain's own eigvals are off
+    # by ~6e-8 max|E| there, so the reference is S^-1 H S with S = diag(r^x)
+    # applied elementwise; both lie within 2e-11 of 40-digit mpmath
+    m = make_model(Family.GT, 3.2, 6.7, 22.6, 8.4, n_cells=40)
+    eigvals = np.linalg.eigvals
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a.shape) or eigvals(a))
+    w = chain_eigenvalues(m)
+    assert solved == [(80, 80)]
+    x = np.repeat(np.arange(m.n_cells), m.sites_per_cell)
+    gauge = _gauge_radius(m) ** (x[None, :] - x[:, None]).astype(float)
+    ref = eigvals(real_space_hamiltonian(m) * gauge)
+    assert _matched_error(w, ref) <= 1e-9 * np.max(np.abs(ref))
+
+
+@FIG4_HOPS
+def test_gauge_radius_is_the_touching_point_modulus(hops):
+    m = make_model(Family.GT, *hops)
+    touching = abs(gbz_touching_point(gbz_compute(m, GbzMethod.CHARPOLY)))
+    assert abs(_gauge_radius(m) - touching) <= 1e-9 * touching
+
+
+@pytest.mark.parametrize("family,hops,delta", [
+    *((family, hops, None) for family, hops in FAMILIES[1:]),
+    (Family.NH_SSH, (1.0, 2.0, 1, 1), 1.5),
+    (Family.NH_SSH, (1.0, 2.0, 1, 1), -1.5),
+])
+def test_gauge_radius_is_the_circular_gbz_radius(family, hops, delta):
+    m = make_model(family, *hops, nhssh_delta=delta)
+    radius = np.exp(gbz_compute(m, GbzMethod.CHARPOLY).mean_log_modulus)
+    assert abs(_gauge_radius(m) - radius) <= 1e-9 * radius
+
+
+@pytest.mark.parametrize("delta", [1.0, -1.0])
+def test_one_way_nhssh_bond_takes_no_gauge(delta):
+    # r = sqrt(|(t1 - delta) / (t1 + delta)|) is 0 or infinite: no gauge fits
+    m = make_model(Family.NH_SSH, 1.0, 2.0, 1, 1, n_cells=20, nhssh_delta=delta)
+    assert _gauge_radius(m) == 1.0
+    assert np.all(np.isfinite(chain_eigenvalues(m)))
 
 
 def test_non_bloch_hamiltonian_is_element_zero_of_the_stack(model_a, rng):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nhskin import (Family, SymmetryOp, ValidationError, apply_symmetry,
                     bloch_hamiltonian, make_model, non_bloch_hamiltonian,
                     real_space_hamiltonian)
-from nhskin.model import _hopping_blocks, non_bloch_hamiltonians
+from nhskin.model import _CHIRAL_SUBLATTICE, _hopping_blocks, non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.05, max_value=30.0,
                     allow_nan=False, allow_infinity=False)
@@ -143,6 +143,17 @@ def test_gt_hopping_blocks_have_rank_two():
 def test_undamped_hatano_nelson_chain_has_a_zero_diagonal():
     m = make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1, n_cells=12)
     assert np.all(np.diag(real_space_hamiltonian(m)) == 0)
+
+
+@pytest.mark.parametrize("family", list(_CHIRAL_SUBLATTICE))
+def test_chiral_chain_is_zero_within_each_sublattice(family):
+    # what the half-size solve E^2 = eig(C D) of chain_eigenvalues rests on
+    m = make_model(family, T1, T2, T3, T4, n_cells=5, nhssh_delta=DELTA)
+    a = np.isin(np.arange(m.n_sites) % m.sites_per_cell, _CHIRAL_SUBLATTICE[family])
+    H = real_space_hamiltonian(m)
+    assert a.sum() == m.n_sites // 2
+    assert np.all(H[a][:, a] == 0) and np.all(H[~a][:, ~a] == 0)
+    assert np.count_nonzero(H[a][:, ~a]) and np.count_nonzero(H[~a][:, a])
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
