@@ -21,7 +21,6 @@ from .dynamics import (WaveField, default_time_grid, energy_trace, evolve,
 from .errors import ConfigError, NhskinError, NumericalError, ValidationError
 from .gbz import (_check_n_sites, chain_eigenvalues, gap_report, gbz_compute,
                   gbz_touching_point, skin_direction)
-from .spectral import obc_spectrum, spectral_radius
 
 # Parameter sets quoted from the source experiments (rad/s; 10 unit cells).
 PRESETS = {
@@ -72,22 +71,20 @@ def _outdir(args) -> Path:
 
 def cmd_spectrum(args, cfg) -> int:
     model = nio.model_from_config(cfg)
-    spec = obc_spectrum(model)
+    w = np.sort_complex(chain_eigenvalues(model) - 1j * model.gamma)
     out = _outdir(args)
     if args.format in ("csv", "both"):
-        nio.write_spectrum_csv(out / "spectrum.csv", spec)
+        nio.write_spectrum_csv(out / "spectrum.csv", w)
     if args.format in ("svg", "both"):
-        nio.write_svg_scatter(out / "spectrum.svg", spec.eigenvalues.real,
-                              spec.eigenvalues.imag, title="OBC spectrum")
+        nio.write_svg_scatter(out / "spectrum.svg", w.real, w.imag, title="OBC spectrum")
     # the leading modes share max Im E up to rounding; a beat is defined
     # only when they are one mode or one symmetry pair
-    w = spec.eigenvalues
-    lead = w[w.imag >= w.imag.max() - 1e-9 * spectral_radius(spec)]
+    lead = w[w.imag >= w.imag.max() - 1e-9 * np.abs(w).max()]
     if len(lead) <= 2:
         pair = f"leading-pair beat = {np.ptp(lead.real) / (2 * np.pi):.4g} Hz"
     else:
         pair = f"no single leading pair ({len(lead)} modes share max Im E)"
-    print(f"spectrum: {spec.dim} modes, max Im E = {w.imag.max():.6g} rad/s, {pair}")
+    print(f"spectrum: {len(w)} modes, max Im E = {w.imag.max():.6g} rad/s, {pair}")
     return 0
 
 
@@ -225,7 +222,7 @@ def cmd_sweep(args, cfg) -> int:
         nio.sweep_energy_names(ms)
     sweep = transition_sweep(block["path"], ms,
                              t_grid=default_time_grid(block["horizon"]),
-                             n_cells=block["n_cells"])
+                             n_cells=cfg["model"]["n_cells"])
     out = _outdir(args)
     if args.format in ("csv", "both"):
         nio.write_sweep_csv(out, sweep)

@@ -105,8 +105,8 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 # ------------------------------------------------------------- exporters
 
-def write_spectrum_csv(path, spectrum) -> None:
-    E = spectrum.eigenvalues
+def write_spectrum_csv(path, eigenvalues) -> None:
+    E = np.asarray(eigenvalues)
     _write_table(path, ["index", "Re_E", "Im_E"],
                  [[list(map(str, range(len(E)))), _column(E.real), _column(E.imag)]])
 
@@ -331,7 +331,7 @@ CONFIG_SCHEMA = {
                       # each label fits the GBZ of its chain, which needs 4 cells
                       "n_cells": (_AtLeast(4), 25)},
     "sweep": {"path": ({"1": PATH1, "2": PATH2}, PATH1), "samples": (_AtLeast(2), 13),
-              "horizon": (_positive, 80.0), "n_cells": (_AtLeast(1), 10)},
+              "horizon": (_positive, 80.0)},
 }
 
 

@@ -1,23 +1,24 @@
 """Biorthogonal eigensystems, the OBC spectrum, and PBC eigenvalues.
 
-One matrix or a stack (..., n, n) is solved in one batched call, in real
-arithmetic when it has no imaginary part.  Left eigenvectors are the rows of
-the inverse right-eigenvector matrix, so <phi_L,i | phi_R,j> = delta_ij holds
-to the accuracy of one linear solve.  Near-exceptional matrices
-(ill-conditioned eigenvector basis) are flagged rather than rejected.
-The periodic spectrum is the Bloch eigenvalues alone, from one stacked
-``eigvals`` over the cells.
+One matrix or a stack (..., n, n) is solved in one batched call, in the
+arithmetic of its own dtype.  Left eigenvectors are the rows of the inverse
+right-eigenvector matrix, so <phi_L,i | phi_R,j> = delta_ij holds to the
+accuracy of one linear solve.  Near-exceptional matrices (ill-conditioned
+eigenvector basis) are flagged rather than rejected.  The open chain is
+solved real and undamped, and its damping shifts the eigenvalues by
+-i*gamma.  The periodic spectrum is the Bloch eigenvalues alone, from one
+stacked ``eigvals`` over the cells.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import LatticeModel, non_bloch_hamiltonians, real_space_hamiltonian
+from .model import LatticeModel, _hopping_blocks, _open_chain, non_bloch_hamiltonians
 
 #: eigenvector-matrix condition number above which a spectrum is flagged
 NEAR_EXCEPTIONAL_COND = 1e8
@@ -46,22 +47,17 @@ class Spectrum:
         return self.eigenvalues.shape[-1]
 
 
-def real_if_exact(H: np.ndarray) -> np.ndarray:
-    """``H.real`` when H has no imaginary part, else H: LAPACK's real solver
-    is faster than the complex one and returns real eigenvalues as exactly real."""
-    return H if np.any(H.imag) else H.real
-
-
 def eig_biorthogonal(H: np.ndarray) -> Spectrum:
-    """Dense biorthogonal eigendecomposition of a general complex matrix or of
-    a stack (..., n, n) of them; warns once, with the largest condition
-    number, if any of them is near-exceptional."""
-    H = np.asarray(H, dtype=complex)
+    """Dense biorthogonal eigendecomposition of a general real or complex
+    matrix or of a stack (..., n, n) of them, solved in H's own dtype; warns
+    once, with the largest condition number, if any of them is
+    near-exceptional."""
+    H = np.asarray(H)
     if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise ValidationError(f"H must be square, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise ValidationError("H has non-finite entries")
-    w, vr = np.linalg.eig(real_if_exact(H))
+    w, vr = np.linalg.eig(H)
     order = np.lexsort((w.imag, w.real), axis=-1)
     # NumPy returns a stack with only real eigenvalues in real arithmetic
     w = np.take_along_axis(w, order, axis=-1).astype(complex, copy=False)
@@ -78,8 +74,11 @@ def eig_biorthogonal(H: np.ndarray) -> Spectrum:
 
 
 def obc_spectrum(model: LatticeModel) -> Spectrum:
-    """Eigensystem of the open chain."""
-    return eig_biorthogonal(real_space_hamiltonian(model))
+    """Eigensystem of the open chain: the undamped chain, solved in real
+    arithmetic, with every eigenvalue shifted by -i*gamma (a uniform damping
+    leaves the eigenvectors as they are)."""
+    spec = eig_biorthogonal(_open_chain(*_hopping_blocks(model), model.n_cells))
+    return replace(spec, eigenvalues=spec.eigenvalues - 1j * model.gamma)
 
 
 def pbc_spectrum(model: LatticeModel, n_k: int = 50) -> np.ndarray:
@@ -88,7 +87,7 @@ def pbc_spectrum(model: LatticeModel, n_k: int = 50) -> np.ndarray:
     if n_k < 1:
         raise ValidationError("n_k must be >= 1")
     k = 2 * np.pi * np.arange(n_k) / n_k
-    H = real_if_exact(non_bloch_hamiltonians(model, np.exp(1j * k)))
+    H = non_bloch_hamiltonians(model, np.exp(1j * k))
     w = np.linalg.eigvals(H).ravel() - 1j * model.gamma
     return w[np.lexsort((w.imag, w.real))]
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nhskin import (chain_eigenvalues, default_time_grid, evolve, gap_report, gbz_compute,
-                    obc_spectrum, poke_state, stft, synthesize_signal)
+                    pair_with_negated_conjugate, poke_state, stft, synthesize_signal,
+                    transition_sweep)
 from nhskin.cli import PRESETS, main
 from nhskin.io import model_from_config, parse_config, read_csv, write_spectrogram_csv
 
@@ -94,7 +95,7 @@ def test_spectrum_preset_roundtrip(tmp_path, capsys):
     _, rows = read_csv(tmp_path / "spectrum.csv")
     back = np.array([complex(float(r[1]), float(r[2])) for r in rows])
     model = model_from_config(PRESETS["fig4a"])
-    w = obc_spectrum(model).eigenvalues
+    w = np.sort_complex(chain_eigenvalues(model) - 1j * model.gamma)
     assert np.array_equal(back, w)
     # the damped fig4a spectrum has a negative largest Im E, not a modulus
     assert out.startswith("spectrum: 40 modes, max Im E = -0.295493 rad/s, ")
@@ -111,6 +112,40 @@ def test_spectrum_preset_roundtrip(tmp_path, capsys):
 def test_spectrum_summary_names_the_leading_modes(tmp_path, capsys, preset, tail):
     assert main(["spectrum", "--preset", preset, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.rstrip("\n").endswith(", " + tail)
+
+
+HATANO_NELSON_240 = """\
+[model]
+family = HatanoNelson
+t1 = 2.5
+t2 = 0.9
+t3 = 1
+t4 = 1
+n_cells = 240
+"""
+
+
+@pytest.mark.parametrize("preset,text,gamma", [
+    ("fig4a", "[model]\nn_cells = 40\n", 2.8),
+    ("fig4i", "[model]\nn_cells = 40\n", 2.5),
+    (None, HATANO_NELSON_240, 0.0),
+], ids=["fig4a-160", "fig4i-160", "hatano_nelson-240"])
+def test_spectrum_of_a_long_chain_keeps_its_symmetry(tmp_path, capsys, preset, text, gamma):
+    """On long chains the written spectrum keeps the E <-> -E* mirror of the
+    undamped chain, and the undamped Hatano-Nelson chain, similar to a
+    Hermitian one, is exactly real.  The run warns of no near-exceptional
+    basis (the suite turns warnings into errors)."""
+    cfg = _write(tmp_path, "long.cfg", text)
+    argv = ["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv + ["--preset", preset] if preset else argv) == 0
+    _, rows = read_csv(tmp_path / "out" / "spectrum.csv")
+    w = np.array([complex(float(r[1]), float(r[2])) for r in rows]) + 1j * gamma
+    assert pair_with_negated_conjugate(w, rtol=1e-8)
+    out = capsys.readouterr().out
+    if preset == "fig4i":
+        assert out.rstrip("\n").endswith(", leading-pair beat = 2.201 Hz")
+    if preset is None:
+        assert np.all(w.imag == 0)
 
 
 def test_gbz_preset_both_formats(tmp_path, capsys):
@@ -281,6 +316,17 @@ def test_sweep_with_colliding_energy_files_is_rejected(tmp_path, capsys, monkeyp
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_sweep_chains_have_the_model_n_cells(tmp_path, monkeypatch):
+    """[model] n_cells sets the length of every chain the sweep propagates."""
+    seen, sweep = [], transition_sweep
+    monkeypatch.setattr("nhskin.cli.transition_sweep", lambda *args, n_cells, **kwargs:
+                        seen.append(n_cells) or sweep(*args, n_cells=n_cells, **kwargs))
+    cfg = _write(tmp_path, "run.cfg", "[model]\nn_cells = 5\n[sweep]\nsamples = 2\nhorizon = 2\n")
+    assert main(["sweep", "--preset", "fig5h", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert seen == [5]
+
+
 def test_unknown_preset_is_config_error(tmp_path, capsys):
     assert main(["spectrum", "--preset", "nope", "--out", str(tmp_path)]) == 2
     assert "unknown preset" in capsys.readouterr().err
@@ -315,8 +361,9 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
      "bad.cfg:3: [phase_diagram] n_cells = '3' is not an integer >= 4"),
     ("spectrum", "[model]\nn_cells = 0\n",
      "bad.cfg:2: [model] n_cells = '0' is not an integer >= 1"),
+    # the sweep's chains have [model] n_cells
     ("sweep", "[sweep]\nsamples = 3\nn_cells = 0\n",
-     "bad.cfg:3: [sweep] n_cells = '0' is not an integer >= 1"),
+     "bad.cfg:3: unknown key 'n_cells' in section [sweep]"),
     ("phase-diagram", "[phase_diagram]\nresolution = 1\n",
      "bad.cfg:2: [phase_diagram] resolution = '1' is not an integer >= 2"),
     ("sweep", "[sweep]\nsamples = 1\n",

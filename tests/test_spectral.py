@@ -112,11 +112,14 @@ def test_pbc_spectrum_holds_no_bloch_waves():
     assert peak < 4 * 2**20
 
 
-def test_uniform_damping_shifts_spectrum(model_a):
-    g = model_a.gamma
-    w_damped = obc_spectrum(model_a).eigenvalues
-    w_free = obc_spectrum(model_a.with_(gamma=0.0)).eigenvalues
-    assert multiset_distance(w_damped, w_free - 1j * g) < 1e-10 * np.max(np.abs(w_free))
+def test_uniform_damping_shifts_spectrum(model_a, model_b, model_c):
+    """A uniform damping shifts every eigenvalue by -i*gamma and leaves the
+    eigenvectors as they are, bit for bit."""
+    for m in (model_a, model_b, model_c):
+        damped = obc_spectrum(m)
+        undamped = obc_spectrum(m.with_(gamma=0.0))
+        assert np.array_equal(damped.eigenvalues, undamped.eigenvalues - 1j * m.gamma)
+        assert np.array_equal(damped.right_vectors, undamped.right_vectors)
 
 
 def test_gt_spectrum_mirror_symmetry(model_a, model_b, model_c):
