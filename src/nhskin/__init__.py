@@ -21,7 +21,6 @@ from .model import (Family, LatticeModel, SymmetryOp,
                     apply_symmetry, bloch_hamiltonian, make_model,
                     non_bloch_hamiltonian, real_space_hamiltonian)
 from .spectral import (Spectrum, eig_biorthogonal, obc_spectrum,
-                       pair_with_negated_conjugate, pbc_spectrum,
-                       spectral_radius)
+                       pair_with_negated_conjugate, pbc_spectrum)
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .dynamics import (WaveField, default_time_grid, energy_trace, evolve,
 from .errors import ConfigError, NhskinError, NumericalError, ValidationError
 from .gbz import (_check_n_sites, chain_eigenvalues, gap_report, gbz_compute,
                   gbz_touching_point, skin_direction)
+from .spectral import mode_order
 
 # Parameter sets quoted from the source experiments (rad/s; 10 unit cells).
 PRESETS = {
@@ -71,7 +72,8 @@ def _outdir(args) -> Path:
 
 def cmd_spectrum(args, cfg) -> int:
     model = nio.model_from_config(cfg)
-    w = np.sort_complex(chain_eigenvalues(model) - 1j * model.gamma)
+    w = chain_eigenvalues(model)    # row j is mode j of project
+    w = w[mode_order(w)] - 1j * model.gamma
     out = _outdir(args)
     if args.format in ("csv", "both"):
         nio.write_spectrum_csv(out / "spectrum.csv", w)
@@ -182,7 +184,7 @@ def cmd_project(args, cfg) -> int:
                               proj.band_pair_magnitude().T,
                               title="|C(t)| per GBZ point", cell=3)
     # the symmetry pair (E, -conj(E)) carries equal weight up to rounding:
-    # report the first near-maximal mode in spectrum order (ascending Re)
+    # report the first near-maximal mode in mode order (ascending Re)
     late = np.abs(dec.coefficients[-1])
     j = int(np.argmax(late >= (1 - 1e-9) * late.max()))
     # a part below 1e-9 |E| is rounding noise of an exact zero (fig4e's Re E)

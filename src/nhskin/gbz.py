@@ -418,6 +418,12 @@ def _gauge_radius(model: LatticeModel) -> float:
     return r if 0 < r < np.inf else 1.0
 
 
+def _gauged_blocks(model: LatticeModel):
+    """r of :func:`_gauge_radius` and the blocks (H0, r Hp, Hm / r) of S^-1 H S."""
+    r, (h0, hp, hm) = _gauge_radius(model), _hopping_blocks(model)
+    return r, (h0, r * hp, hm / r)
+
+
 def chain_eigenvalues(model: LatticeModel) -> np.ndarray:
     """Eigenvalues of the model's open chain without its uniform damping.
 
@@ -431,9 +437,7 @@ def chain_eigenvalues(model: LatticeModel) -> np.ndarray:
     blocks.  Where min|lambda| < sqrt(eps) max|lambda| some E^2 keeps less
     than half its digits, and the full gauged chain is solved instead, as
     it is for Hatano-Nelson."""
-    h0, hp, hm = _hopping_blocks(model)
-    r = _gauge_radius(model)
-    blocks = (h0, r * hp, hm / r)
+    _, blocks = _gauged_blocks(model)
     if model.family in _CHIRAL_SUBLATTICE:
         a = np.isin(np.arange(model.sites_per_cell), _CHIRAL_SUBLATTICE[model.family])
         C = _open_chain(*(blk[a][:, ~a] for blk in blocks), model.n_cells)

@@ -1,13 +1,13 @@
 """Biorthogonal eigensystems, the OBC spectrum, and PBC eigenvalues.
 
 One matrix or a stack (..., n, n) is solved in one batched call, in the
-arithmetic of its own dtype.  Left eigenvectors are the rows of the inverse
-right-eigenvector matrix, so <phi_L,i | phi_R,j> = delta_ij holds to the
-accuracy of one linear solve.  Near-exceptional matrices (ill-conditioned
-eigenvector basis) are flagged rather than rejected.  The open chain is
-solved real and undamped, and its damping shifts the eigenvalues by
--i*gamma.  The periodic spectrum is the Bloch eigenvalues alone, from one
-stacked ``eigvals`` over the cells.
+arithmetic of its own dtype.  Left eigenvectors solve R^H L = I, R the
+right ones, so <phi_L,i | phi_R,j> = delta_ij holds to the accuracy of that
+one solve.  Near-exceptional matrices (ill-conditioned eigenvector basis)
+are flagged rather than rejected.  The open chain is solved real and
+undamped in the gauge of ``gbz.chain_eigenvalues``; the periodic spectrum
+is the Bloch eigenvalues of one stacked ``eigvals``.  Every spectrum is in
+:func:`mode_order`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import LatticeModel, _hopping_blocks, _open_chain, non_bloch_hamiltonians
+from .errors import NumericalError, ValidationError
+from .gbz import _gauged_blocks
+from .model import LatticeModel, _open_chain, non_bloch_hamiltonians
 
 #: eigenvector-matrix condition number above which a spectrum is flagged
 NEAR_EXCEPTIONAL_COND = 1e8
@@ -29,8 +30,8 @@ class Spectrum:
     """Eigenvalues with paired right/left eigenvectors (columns).
 
     ``left_vectors[:, i].conj() @ right_vectors[:, j] == delta_ij`` after
-    normalization.  Eigenvalues are sorted by ascending Re, ties by Im.  A
-    stack of matrices adds its leading axes, also to the condition number.
+    normalization.  Eigenvalues are in :func:`mode_order`.  A stack of
+    matrices adds its leading axes, also to the condition number.
     """
 
     eigenvalues: np.ndarray
@@ -42,9 +43,11 @@ class Spectrum:
     def near_exceptional(self):
         return self.condition_number > NEAR_EXCEPTIONAL_COND
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
+
+def mode_order(w: np.ndarray) -> np.ndarray:
+    """Indices sorting the last axis by Re, then Im, a Re below 1e-9 max|E| as 0."""
+    small = np.abs(w.real) < 1e-9 * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+    return np.lexsort((w.imag, np.where(small, 0.0, w.real)), axis=-1)
 
 
 def eig_biorthogonal(H: np.ndarray) -> Spectrum:
@@ -58,7 +61,7 @@ def eig_biorthogonal(H: np.ndarray) -> Spectrum:
     if not np.all(np.isfinite(H)):
         raise ValidationError("H has non-finite entries")
     w, vr = np.linalg.eig(H)
-    order = np.lexsort((w.imag, w.real), axis=-1)
+    order = mode_order(w)
     # NumPy returns a stack with only real eigenvalues in real arithmetic
     w = np.take_along_axis(w, order, axis=-1).astype(complex, copy=False)
     vr = np.take_along_axis(vr, order[..., None, :], axis=-1).astype(complex, copy=False)
@@ -68,32 +71,36 @@ def eig_biorthogonal(H: np.ndarray) -> Spectrum:
         warnings.warn(f"near-exceptional spectrum: eigenvector condition number "
                       f"{worst:.3g}; biorthogonal quantities have degraded accuracy",
                       RuntimeWarning, stacklevel=2)
-    # rows of inv(vr) are the (bra) left eigenvectors; store them as kets
-    vl = np.linalg.inv(vr).conj().swapaxes(-1, -2)
+    # left eigenvectors as kets, with L^H R - I the residual of this solve
+    vl = np.linalg.inv(vr.conj().swapaxes(-1, -2))
     return Spectrum(w, vr, vl, cond)
 
 
 def obc_spectrum(model: LatticeModel) -> Spectrum:
-    """Eigensystem of the open chain: the undamped chain, solved in real
-    arithmetic, with every eigenvalue shifted by -i*gamma (a uniform damping
-    leaves the eigenvectors as they are)."""
-    spec = eig_biorthogonal(_open_chain(*_hopping_blocks(model), model.n_cells))
-    return replace(spec, eigenvalues=spec.eigenvalues - 1j * model.gamma)
+    """Eigensystem of the open chain, from the undamped gauged chain S^-1 H S,
+    S = diag(r^x), of ``gbz.chain_eigenvalues`` in real arithmetic: right
+    vectors S v scaled to unit norm, left vectors S^-1 u times those norms,
+    eigenvalues shifted by -i*gamma.  ``condition_number`` is the gauged
+    basis'.  Raises :class:`NumericalError` if r^x leaves the float range."""
+    r, blocks = _gauged_blocks(model)
+    x = np.arange(model.n_cells) * np.log(r)     # log r^x, cell by cell
+    if np.ptp(x) > -np.log(np.finfo(float).tiny):
+        raise NumericalError(f"gauge r^x, r = {r:.3g}, leaves the float range on {len(x)} cells")
+    s = np.repeat(np.exp(x - x.max()), model.sites_per_cell)[:, None]
+    g = eig_biorthogonal(_open_chain(*blocks, model.n_cells))
+    n = np.linalg.norm(s * g.right_vectors, axis=0)
+    return replace(g, eigenvalues=g.eigenvalues - 1j * model.gamma,
+                   right_vectors=s * g.right_vectors / n, left_vectors=g.left_vectors / s * n)
 
 
 def pbc_spectrum(model: LatticeModel, n_k: int = 50) -> np.ndarray:
-    """Union of Bloch eigenvalues over k = 2*pi*m/n_k, shifted by -i*gamma,
-    sorted by ascending Re, ties by Im."""
+    """Union of Bloch eigenvalues over k = 2*pi*m/n_k, shifted by -i*gamma, in mode order."""
     if n_k < 1:
         raise ValidationError("n_k must be >= 1")
     k = 2 * np.pi * np.arange(n_k) / n_k
     H = non_bloch_hamiltonians(model, np.exp(1j * k))
     w = np.linalg.eigvals(H).ravel() - 1j * model.gamma
-    return w[np.lexsort((w.imag, w.real))]
-
-
-def spectral_radius(spec: Spectrum) -> float:
-    return float(np.max(np.abs(spec.eigenvalues))) if spec.dim else 0.0
+    return w[mode_order(w)]
 
 
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nhskin import (chain_eigenvalues, default_time_grid, evolve, gap_report, gbz_compute,
-                    pair_with_negated_conjugate, poke_state, stft, synthesize_signal,
-                    transition_sweep)
+                    obc_decomposition, pair_with_negated_conjugate, poke_state, stft,
+                    synthesize_signal, transition_sweep)
 from nhskin.cli import PRESETS, main
 from nhskin.io import model_from_config, parse_config, read_csv, write_spectrogram_csv
 
@@ -250,6 +250,20 @@ def test_project_prints_an_exact_zero_part_as_zero(tmp_path, capsys):
     returns rounding noise of order 1e-15 there."""
     assert main(["project", "--preset", "fig4e", "--out", str(tmp_path / "out")]) == 0
     assert "dominant late mode E = 0-1.55264j rad/s" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", ["fig4a", "fig4e", "fig4i"])
+def test_spectrum_rows_are_the_modes_of_project(tmp_path, preset):
+    """Row j of spectrum.csv is mode j of mode_decomposition.csv: both take
+    one mode order, in which a Re E of rounding noise counts as 0 (fig4e has
+    three modes there)."""
+    assert main(["spectrum", "--preset", preset, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    w = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+    model = model_from_config(PRESETS[preset])
+    field = evolve(model, poke_state(model, 20), default_time_grid(0.1))
+    modes = obc_decomposition(field).spectrum.eigenvalues
+    assert np.max(np.abs(w - modes)) <= 1e-12 * np.max(np.abs(modes))
 
 
 def test_phase_diagram_csv_symmetry(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhskin import (Family, ValidationError, eig_biorthogonal, gbz_compute,
+import nhskin.spectral as spectral_mod
+from nhskin import (Family, NumericalError, ValidationError, eig_biorthogonal, gbz_compute,
                     make_model, obc_spectrum, pair_with_negated_conjugate, pbc_spectrum,
-                    real_space_hamiltonian, spectral_radius)
+                    real_space_hamiltonian)
 from nhskin.gbz import chain_eigenvalues
 from nhskin.model import _hopping_blocks, non_bloch_hamiltonians
 from nhskin.spectral import NEAR_EXCEPTIONAL_COND, multiset_distance
@@ -19,7 +21,7 @@ hopping = st.floats(min_value=0.1, max_value=20.0,
 
 def _biorthogonality_residual(spec):
     G = spec.left_vectors.conj().T @ spec.right_vectors
-    return np.max(np.abs(G - np.eye(spec.dim)))
+    return np.max(np.abs(G - np.eye(len(G))))
 
 
 def test_rejects_nonsquare():
@@ -37,7 +39,7 @@ def test_right_vectors_are_eigenvectors(model_a):
     H = real_space_hamiltonian(model_a)
     spec = eig_biorthogonal(H)
     res = H @ spec.right_vectors - spec.right_vectors * spec.eigenvalues
-    assert np.max(np.abs(res)) < 1e-10 * spectral_radius(spec)
+    assert np.max(np.abs(res)) < 1e-10 * np.max(np.abs(spec.eigenvalues))
 
 
 def test_left_vectors_are_left_eigenvectors(model_a):
@@ -45,7 +47,7 @@ def test_left_vectors_are_left_eigenvectors(model_a):
     spec = eig_biorthogonal(H)
     res = spec.left_vectors.conj().T @ H - \
         spec.eigenvalues[:, None] * spec.left_vectors.conj().T
-    assert np.max(np.abs(res)) < 1e-8 * spectral_radius(spec)
+    assert np.max(np.abs(res)) < 1e-8 * np.max(np.abs(spec.eigenvalues))
 
 
 # hoppings a factor 100 apart make the 6-cell chain near-exceptional
@@ -147,7 +149,7 @@ def _cell_stacks(model_a, rng):
 def test_stacked_eig_matches_per_matrix_calls(model_a, rng):
     for H in _cell_stacks(model_a, rng):
         stack = eig_biorthogonal(H)
-        assert stack.eigenvalues.shape == H.shape[:-1] and stack.dim == 4
+        assert stack.eigenvalues.shape == H.shape[:-1] and stack.eigenvalues.shape[-1] == 4
         assert stack.right_vectors.dtype == complex
         for idx in np.ndindex(H.shape[:-2]):
             one = eig_biorthogonal(H[idx])
@@ -213,10 +215,51 @@ def test_near_exceptional_follows_the_condition_number(model_a):
 
 def test_undamped_hatano_nelson_chain_is_solved_in_real_arithmetic():
     """The open Hatano-Nelson chain is similar to a Hermitian one, so its
-    spectrum is real; the real solver returns it with Im E exactly 0."""
+    spectrum is real; the real solver returns it with Im E exactly 0, although
+    the ungauged chain is near-exceptional."""
     m = make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1, n_cells=40)
     with pytest.warns(RuntimeWarning, match="near-exceptional"):
-        spec = obc_spectrum(m)
+        eig_biorthogonal(real_space_hamiltonian(m))
+    spec = obc_spectrum(m)
     assert np.all(spec.eigenvalues.imag == 0)
     w = chain_eigenvalues(m)
-    assert multiset_distance(spec.eigenvalues, w) <= 1e-12 * spectral_radius(spec)
+    assert multiset_distance(spec.eigenvalues, w) <= 1e-12 * np.max(np.abs(spec.eigenvalues))
+
+
+@pytest.mark.parametrize("phase", ["model_a", "model_b"])
+def test_gauged_eigenbasis_stays_biorthogonal_at_160_sites(phase, request):
+    """The open chain is solved in the imaginary gauge, whose basis stays
+    biorthogonal on 160 sites; on fig4a the ungauged basis is numerically
+    singular and is not."""
+    m = request.getfixturevalue(phase).with_(n_cells=40)
+    # fig4e keeps three modes near E = 0, which cost its gauged basis a
+    # condition number of ~6e8
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "near-exceptional", RuntimeWarning)
+        assert _biorthogonality_residual(obc_spectrum(m)) < 1e-3
+    if phase == "model_a":
+        with pytest.warns(RuntimeWarning, match="near-exceptional"):
+            ungauged = eig_biorthogonal(real_space_hamiltonian(m))
+        assert _biorthogonality_residual(ungauged) > 0.1
+
+
+def test_long_undamped_hatano_nelson_chain_is_exactly_real():
+    """240 sites: r^x spans 1e-53, and the gauged chain is symmetric."""
+    m = make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1, n_cells=240)
+    spec = obc_spectrum(m)
+    assert np.all(spec.eigenvalues.imag == 0)
+    assert spec.condition_number == pytest.approx(1.0)
+
+
+def test_gauge_diagonal_beyond_the_float_range_raises_before_the_solve(monkeypatch):
+    """t2/t1 = 1e-6 puts the gauge radius at r = 1e-3, so r^x leaves the
+    normal float range after 103 cells."""
+    m = make_model(Family.HATANO_NELSON, 1.0, 1e-6, 1, 1, n_cells=100)
+    spec = obc_spectrum(m)
+    assert np.all(np.isfinite(spec.left_vectors)) and np.all(np.isfinite(spec.right_vectors))
+
+    def no_solve(H):
+        raise AssertionError("the chain was solved")
+    monkeypatch.setattr(spectral_mod, "eig_biorthogonal", no_solve)
+    with pytest.raises(NumericalError, match="float range on 120 cells"):
+        obc_spectrum(m.with_(n_cells=120))
