@@ -1,0 +1,90 @@
+"""Oracle for the exact 17-digit kernel of ``nhskin.io``.
+
+Formats N values per class with the kernel that ``write_energy_csv`` and
+``write_sweep_csv`` use and with CPython's ``"%.17g" %``, compares the
+bytes, and prints per class the number of values, of mismatches and of
+values the kernel handed to ``%``, and the first mismatches.  The classes
+are random bit patterns (every float64, NaNs and subnormals included),
+values exponent-uniform over 1e+-300 of either sign, integers below 1e17,
+exact ties of the 17-digit rounding (odd m / 2^(17-k)), and, whatever N,
+every power of ten from 1e-323 to 1e308 with its neighbours one ulp away.
+The run is not part of the tests; at the default N = 10^7 it takes a few
+minutes, nearly all of it in ``%``.  It exits 1 if any byte differs.
+
+    PYTHONPATH=src python scripts/format17_oracle.py [--n N] [--seed S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+from nhskin.io import FLOAT_FMT, _digits17, _format17
+
+#: values formatted per call, which bounds the memory
+CHUNK = 1_000_000
+
+
+def _bits(rng, n):
+    return rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float)
+
+
+def _spread(rng, n):
+    return 10.0 ** rng.uniform(-300, 300, n) * rng.choice([-1.0, 1.0], n)
+
+
+def _integers(rng, n):
+    return rng.integers(0, 10 ** 17, n).astype(float)
+
+
+def _ties(rng, n):
+    k = rng.integers(-4, 12, n)
+    low = np.floor(10.0 ** k * 2.0 ** (17 - k)).astype(np.int64)
+    m = (low + 1 + (8 * low * rng.random(n)).astype(np.int64)) | 1    # inside the decade
+    return m / 2.0 ** (17 - k)
+
+
+CLASSES = {"bit patterns": _bits, "exp-uniform 1e+-300": _spread,
+           "integers < 1e17": _integers, "17-digit ties": _ties}
+
+
+def compare(values):
+    """(mismatches as (value, kernel, %) triples, number handed to %)."""
+    got = _format17(values, b"\n").tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    want = [FLOAT_FMT % v for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    return bad, int(np.sum(~_digits17(values)[2]))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--n", type=int, default=10 ** 7, help="values per class")
+    p.add_argument("--seed", type=int, default=0)
+    args = p.parse_args(argv)
+    rng = np.random.default_rng(args.seed)
+    p10 = 10.0 ** np.arange(-323, 309)
+    work = [(name, [make(rng, min(CHUNK, args.n - i)) for i in range(0, args.n, CHUNK)])
+            for name, make in CLASSES.items()]
+    work.append(("powers of ten +-1 ulp", [np.concatenate(
+        [p10, np.nextafter(p10, 0.0), np.nextafter(p10, np.inf)])]))
+    total = 0
+    for name, chunks in work:
+        t0 = time.perf_counter()
+        count, bad, handed = 0, [], 0
+        for chunk in chunks:
+            b, h = compare(chunk)
+            count, handed = count + len(chunk), handed + h
+            bad += b
+        total += len(bad)
+        print(f"{name:<24} {count:>10} values  {len(bad)} mismatches  "
+              f"{handed} to %  ({time.perf_counter() - t0:.1f} s)")
+        for v, g, w in bad[:5]:
+            print(f"    {v!r}: kernel {g!r}, % {w!r}")
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

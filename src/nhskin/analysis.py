@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import EnergyTrace, WaveField, _blocks, poke_state
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .gbz import (GBZ, Direction, GbzMethod, SkinDirection, gap_report,
                   gbz_compute, skin_direction)
 from .model import Family, LatticeModel, make_model, non_bloch_hamiltonians
@@ -147,17 +147,22 @@ def laplace_projection(field: WaveField, gbz: GBZ) -> GbzProjection:
     coefficients are C_j(t, beta) = <phi_L,j(beta) | Psi(t, beta)> with the
     left eigenvectors of the cell Hamiltonian at beta, all cells solved as one
     stack.  The maximum |C| over (point, mode) is scaled to 1 at every time.
+    Raises :class:`NumericalError` where beta^-x overflows the coefficients.
     """
     if field.model.with_(gamma=0.0) != gbz.model.with_(gamma=0.0, n_cells=field.model.n_cells):
         raise ValidationError("field and GBZ come from different models")
     N = field.model.n_cells
     psi = field.amplitudes.reshape(len(field.times), N, field.model.sites_per_cell)
-    weights = gbz.betas[None, :] ** -np.arange(1.0, N + 1)[:, None]   # (N, P)
     cells = eig_biorthogonal(non_bloch_hamiltonians(gbz.model, gbz.betas))
-    Psi = np.tensordot(weights, psi, axes=([0], [1]))                 # (P, T, s)
-    C = (Psi @ cells.left_vectors.conj()).swapaxes(0, 1)
-    peak = np.max(np.abs(C), axis=(1, 2), keepdims=True)
-    C = C / np.where(peak > 0, peak, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):    # caught below
+        weights = gbz.betas[None, :] ** -np.arange(1.0, N + 1)[:, None]   # (N, P)
+        Psi = np.tensordot(weights, psi, axes=([0], [1]))                 # (P, T, s)
+        C = (Psi @ cells.left_vectors.conj()).swapaxes(0, 1)
+        peak = np.max(np.abs(C), axis=(1, 2), keepdims=True)
+        C = C / np.where(peak > 0, peak, 1.0)
+    if not np.all(np.isfinite(C)):
+        raise NumericalError(f"GBZ projection of the {N}-cell chain is not finite: beta^-x "
+                             f"overflows at min|beta| = {np.min(np.abs(gbz.betas)):.3g}")
     return GbzProjection(field.times, C, gbz, cells.eigenvalues)
 
 
@@ -263,5 +268,5 @@ def transition_sweep(path: PathSpec, m_samples, t_grid: np.ndarray,
         # each block reduced by energy_trace's row sum; the field is never held
         blocks = _blocks(model, poke_state(model, model.n_sites // 2), t)
         traces.append(EnergyTrace(t, np.concatenate(
-            [np.sum(magnitude ** 2, axis=1) for _, _, magnitude in blocks])))
+            [np.sum(magnitude ** 2, axis=1) for _, _, magnitude, _ in blocks])))
     return TransitionSweep(path, ms, traces, np.array([growth_rate(tr) for tr in traces]))

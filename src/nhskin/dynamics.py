@@ -7,7 +7,10 @@ so its accuracy does not depend on how well conditioned the chain's
 eigenvector basis is (strongly non-normal chains reach condition numbers
 of 1e14-1e17).  The states come
 in blocks of B rows: the first is built by doubling with U, U^2, U^4, ...,
-and each later one is the previous block times U^B.  The uniform
+and each later one is the previous block times U^B.  A chiral chain (GT,
+NH-SSH) propagates T psi, T = diag(1 on A, i on B), by expm(dt K) with the
+real K = -i T H T^-1, so a poke is one real product per block; Hatano-Nelson
+keeps the complex U.  The uniform
 damping gamma is a scalar shift of the Hamiltonian and is factored out as
 an exact exp(-gamma*t) envelope, which keeps the damping-factorization
 identity exact.  The spectrogram is a NumPy STFT: a periodic Hann window
@@ -22,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HorizonTruncationError, ValidationError
-from .model import LatticeModel, real_space_hamiltonian
+from .model import _CHIRAL_SUBLATTICE, LatticeModel, real_space_hamiltonian
 
 #: amplitude magnitude beyond which evolution is truncated
 OVERFLOW_GUARD = 1e120
@@ -105,9 +108,12 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 
 def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
-    """Check ``psi0`` and the time grid, then yield ``(i, block, magnitude)``:
-    the undamped open-chain states at ``t[i:i + len(block)]`` and their
-    elementwise moduli, which the overflow guard has already taken."""
+    """Check ``psi0`` and the time grid, then yield ``(i, block, magnitude,
+    back)``: the undamped open-chain states phi at ``t[i:i + len(block)]``,
+    their moduli, which the overflow guard has already taken, and psi = back
+    * phi (psi = phi when None).  A chiral chain propagates phi = T psi / c,
+    T = diag(1 on A, i on B), c the phase of its largest entry at t = 0, by
+    the real K = -i T H T^-1, in real arithmetic when phi is real."""
     psi0 = np.asarray(psi0, dtype=complex)
     n = model.n_sites
     if psi0.shape != (n,):
@@ -119,8 +125,16 @@ def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
         raise ValidationError("t_grid must be uniformly spaced")
     B = min(1 << (max(1, _BLOCK_ENTRIES // n).bit_length() - 1), len(t))
     H = real_space_hamiltonian(model.with_(gamma=0.0))
-    W = _expm(-1j * dt * H).T    # rows are states: they advance by U^T
-    block = psi0[None, :]    # the identity propagator is exact at t = 0
+    block, back, G = psi0[None, :], None, -1j * dt * H    # t = 0 is exact
+    if model.family in _CHIRAL_SUBLATTICE:
+        on_b = ~np.isin(np.arange(n) % model.sites_per_cell, _CHIRAL_SUBLATTICE[model.family])
+        G = dt * H.real * (on_b[:, None] * 1.0 - on_b[None, :])    # -H from A to B, H from B to A
+        phi = np.where(on_b, 1j, 1) * block
+        big = phi.flat[np.argmax(np.abs(phi))]
+        c = big / abs(big) if big else 1.0
+        block, back = phi / c, np.where(on_b, -1j, 1) * c
+        block = block if np.any(block.imag) else block.real
+    W = _expm(G).T    # rows are states: they advance by U^T
     for i in range(0, len(t), B):
         with np.errstate(over="ignore", invalid="ignore"):    # the guard catches overflow
             while i == 0 and len(block) < B:    # doubling: W = (U^len(block))^T
@@ -129,11 +143,11 @@ def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
             if i:
                 block = block[:len(t) - i] @ W    # W = (U^B)^T
         magnitude = np.abs(block)
-        # NaN fails the comparison as well, so non-finite rows are caught
-        bad = ~(magnitude.max(axis=1) <= OVERFLOW_GUARD)
-        if np.any(bad):
+        # NaN fails the comparison as well; rows are searched once the maximum fails
+        if not magnitude.max() <= OVERFLOW_GUARD:
+            bad = ~(magnitude.max(axis=1) <= OVERFLOW_GUARD)
             raise HorizonTruncationError(float(t[max(i + int(np.argmax(bad)) - 1, 0)]))
-        yield i, block, magnitude
+        yield i, block, magnitude, back
 
 
 def evolve(model: LatticeModel, psi0: np.ndarray, t_grid: np.ndarray) -> WaveField:
@@ -142,8 +156,9 @@ def evolve(model: LatticeModel, psi0: np.ndarray, t_grid: np.ndarray) -> WaveFie
     field leaves the representable range, naming the last valid time."""
     t = np.asarray(t_grid, dtype=float)
     amps = np.empty((len(t), model.n_sites), dtype=complex)
-    for i, block, _ in _blocks(model, psi0, t):
-        amps[i:i + len(block)] = block
+    for i, block, _, back in _blocks(model, psi0, t):
+        # adding 0 turns the -0 of a product into the +0 the complex path keeps
+        amps[i:i + len(block)] = block if back is None else back * block + 0.0
     if model.gamma:
         amps *= np.exp(-model.gamma * t)[:, None]
     return WaveField(t, amps, model)

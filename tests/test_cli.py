@@ -426,3 +426,15 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert main(["evolve", "--preset", "fig4e", "--config", cfg,
                  "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_projection_that_overflows_exits_3_and_writes_nothing(tmp_path, capsys):
+    """t2/t1 = 1e-6 puts the GBZ at |beta| = 1e-3, so beta^-x overflows on a
+    103-cell chain; project used to write 64,320 NaN coefficients."""
+    cfg = _write(tmp_path, "run.cfg", "[model]\nfamily = HatanoNelson\nt1 = 1\nt2 = 1e-6\n"
+                 "t3 = 1\nt4 = 1\nn_cells = 103\n\n[evolve]\nhorizon = 1\n")
+    out = tmp_path / "out"
+    assert main(["project", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "103-cell chain is not finite" in err and "min|beta| = 0.001" in err
+    assert not (out / "gbz_projection.csv").exists()

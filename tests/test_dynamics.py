@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from nhskin import (Family, HorizonTruncationError, ValidationError,
                     default_time_grid, eig_biorthogonal, energy_trace, evolve, make_model,
                     packet_center, poke_state, real_space_hamiltonian, stft,
-                    synthesize_signal)
+                    synthesize_signal, transition_sweep)
+from nhskin.analysis import PATH1, PATH2
 from nhskin.dynamics import _expm
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
@@ -154,6 +155,92 @@ def test_evolve_matches_stepwise_propagation(model_a, n_cells, B, blocks, extra)
         ref = psi * np.exp(-m.gamma * t[k])
         assert np.max(np.abs(amps[k] - ref)) <= 1e-11 * np.max(np.abs(ref)), k
         psi = U @ psi
+
+
+def _complex_path(model, psi0, t):
+    """The propagation in complex arithmetic that chiral chains replaced:
+    U = expm(-i H dt) in evolve's blocks (doubling, then U^B), times the
+    damping envelope."""
+    n = model.n_sites
+    B = min(1 << (max(1, 2 ** 16 // n).bit_length() - 1), len(t))
+    W = _expm(-1j * t[1] * real_space_hamiltonian(model.with_(gamma=0.0))).T
+    block = np.asarray(psi0, dtype=complex)[None, :]
+    while len(block) < B:
+        block = np.concatenate([block, block[:B - len(block)] @ W])
+        W = W @ W
+    rows = [block]
+    for i in range(B, len(t), B):
+        block = block[:len(t) - i] @ W
+        rows.append(block)
+    return np.concatenate(rows) * np.exp(-model.gamma * t)[:, None]
+
+
+def _assert_rows_match(amps, ref, tol):
+    err = np.max(np.abs(amps - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert np.max(err) <= tol, np.max(err)
+
+
+@pytest.mark.parametrize("phase", ["model_a", "model_b", "model_c"])
+@pytest.mark.parametrize("n_cells", [10, 40])
+@pytest.mark.parametrize("site", [1, 2, 3, 4, 18])
+def test_real_gauge_matches_the_complex_path(phase, n_cells, site, request):
+    """fig4a/e/i pokes on both sublattices (GT: sites 1 and 4 of a cell on A,
+    2 and 3 on B): each row within 1e-12 of its max|psi|, and the complex
+    path's exact zeros, all +0, in the same places."""
+    m = request.getfixturevalue(phase).with_(n_cells=n_cells)
+    t = default_time_grid(2.0)
+    amps = evolve(m, poke_state(m, site), t).amplitudes
+    ref = _complex_path(m, poke_state(m, site), t)
+    _assert_rows_match(amps, ref, 1e-12)
+    for part, ref_part in ((amps.real, ref.real), (amps.imag, ref.imag)):
+        assert np.array_equal(part == 0, ref_part == 0)
+        assert np.array_equal(np.signbit(part), np.signbit(ref_part))
+
+
+@pytest.mark.parametrize("path, m_max", [(PATH1, 1.45), (PATH2, 2.9)])
+def test_real_gauge_sweep_matches_the_complex_path(path, m_max):
+    """fig5h/fig5i: P(t) over the 80-s horizon within 1e-11 of each trace's
+    maximum."""
+    t = default_time_grid(80.0)
+    ms = np.array([0.0, 0.5 * m_max, m_max])
+    sweep = transition_sweep(path, ms, t_grid=t)
+    for m, trace in zip(ms, sweep.traces):
+        model = path.model_at(m)
+        ref = np.sum(np.abs(_complex_path(model, poke_state(model, model.n_sites // 2), t)) ** 2,
+                     axis=1)
+        assert np.max(np.abs(trace.P - ref)) <= 1e-11 * np.max(ref), m
+
+
+def _superposition(m, c):
+    """c (1, -0.5, 0.25) in the gauge on sites 1 (A), 6 and 10 (B of GT and
+    NH-SSH), whose gauge factor is i."""
+    psi = np.zeros(m.n_sites, dtype=complex)
+    psi[[0, 5, 9]] = c * np.array([1.0, 0.5j, -0.25j])
+    return psi
+
+
+@pytest.mark.parametrize("family, psi0", [
+    (Family.NH_SSH, lambda m: poke_state(m, 8)),
+    (Family.NH_SSH, lambda m: poke_state(m, 9)),
+    (Family.HATANO_NELSON, lambda m: poke_state(m, 7)),
+    # real up to one phase in the gauge
+    (Family.GT, lambda m: _superposition(m, -1j)),
+    (Family.GT, lambda m: _superposition(m, np.exp(0.3j))),
+    (Family.NH_SSH, lambda m: _superposition(m, np.exp(0.3j))),
+    # sites 1 and 4 are both on A, so psi0 = e1 + i e4 is not real up to one
+    # phase in the gauge: its real and imaginary parts propagate apart
+    (Family.GT, lambda m: poke_state(m, 1) + 1j * poke_state(m, 4)),
+    (Family.NH_SSH, lambda m: poke_state(m, 1) + 1j * poke_state(m, 3)),
+])
+def test_evolve_matches_the_complex_path_on_every_family_and_state(family, psi0):
+    m = make_model(family, 1.3, 0.7, 2.2, 0.9, gamma=0.4, n_cells=12)
+    t = default_time_grid(4.0, fs=100.0)
+    amps = evolve(m, psi0(m), t).amplitudes
+    ref = _complex_path(m, psi0(m), t)
+    if family is Family.HATANO_NELSON:    # not chiral: the complex path itself
+        assert np.array_equal(amps, ref)
+    else:
+        _assert_rows_match(amps, ref, 1e-12)
 
 
 def test_growth_rate_matches_spectrum(model_b):

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import zipfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,6 +203,66 @@ def test_sweep_energy_names_reject_samples_that_share_a_file():
     assert len(set(names)) == 1451 and names[-1] == "energy_m1.450.csv"
     with pytest.raises(ConfigError, match=r"share the energy file energy_m\d\.\d{3}\.csv"):
         nio.sweep_energy_names(PATH1.samples(1452))
+
+
+def _percent17(v) -> bytes:
+    return "".join(FLOAT_FMT % x + "\n" for x in np.asarray(v, dtype=float).tolist()).encode()
+
+
+def _kernel17(v) -> bytes:
+    return nio._format17(v, b"\n").tobytes().translate(None, b"\0")
+
+
+def test_format17_matches_percent_on_every_class():
+    """The vectorized kernel writes the bytes of %.17g: random bit patterns,
+    values exponent-uniform over 1e+-300, integers below 1e17, every power
+    of ten and its neighbours one ulp away, 2^53 +- 2, the neighbours of 1e16
+    and 1e17, negatives, signed zeros, subnormals, infinities and NaN."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, 150_000, dtype=np.uint64).view(float)
+    spread = 10.0 ** rng.uniform(-300, 300, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    ints = rng.integers(0, 10 ** 17, 50_000).astype(float)
+    p10 = 10.0 ** np.arange(-300, 301)
+    edges = np.array([2.0 ** 53 - 2, 2.0 ** 53, 2.0 ** 53 + 2, 1e16, 1e17, 0.0, -0.0,
+                      5e-324, 2.2e-308, np.finfo(float).tiny, np.inf, -np.inf, np.nan])
+    v = np.concatenate([bits, spread, ints, edges,
+                        *(np.nextafter(x, y) for x in (p10, np.array([1e16, 1e17]))
+                          for y in (0.0, np.inf)), p10])
+    v = np.concatenate([v, -v])
+    assert len(v) >= 300_000
+    assert _kernel17(v) == _percent17(v)
+
+
+#: odd m / 2^(17 - k) in [10^k, 10^(k+1)) is a half-integer times 10^(k-16):
+#: a tie of the 17-digit rounding
+_TIES = np.array([(m + 2 * j) / 2.0 ** (17 - k) for k in range(-4, 12)
+                  for m in [(int(10.0 ** k * 2 ** (17 - k)) + 1) | 1] for j in range(3)])
+
+
+@pytest.mark.parametrize("values", [
+    [np.nan, np.inf, -np.inf], [0.0, -0.0], [5e-324, -1e-310, 2.0e-308],
+    [1e-250, -1e250, 1e300, -1e-300], _TIES, -_TIES])
+def test_format17_hands_what_it_cannot_prove_to_percent(values):
+    """Non-finite values, zeros, subnormals, magnitudes outside 1e+-240 and
+    exact ties each take the % branch, with the same bytes."""
+    v = np.asarray(values, dtype=float)
+    assert not np.any(nio._digits17(v)[2])
+    assert _kernel17(v) == _percent17(v)
+
+
+def test_format17_proves_ordinary_values():
+    rng = np.random.default_rng(5)
+    v = 10.0 ** rng.uniform(-200, 200, 10_000)
+    assert np.mean(nio._digits17(v)[2]) > 0.999
+
+
+@given(values=st.lists(st.floats(width=64), min_size=1, max_size=40))
+@settings(max_examples=50, deadline=None)
+def test_energy_writer_in_small_blocks_matches_the_row_oracle(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("csv") / "energy.csv"
+    with mock.patch.object(nio, "_BLOCK_ROWS", 5):
+        write_energy_csv(path, SimpleNamespace(times=np.array(values), P=-np.array(values)))
+    assert path.read_bytes() == _oracle_csv(["time", "P"], ((v, -v) for v in values))
 
 
 def test_wavefield_npz_roundtrip_is_exact_and_stored(tmp_path):
