@@ -1,15 +1,17 @@
 """Oracle for the exact 17-digit kernel of ``nhskin.io``.
 
-Formats N values per class with the kernel that ``write_energy_csv`` and
-``write_sweep_csv`` use and with CPython's ``"%.17g" %``, compares the
-bytes, and prints per class the number of values, of mismatches and of
-values the kernel handed to ``%``, and the first mismatches.  The classes
-are random bit patterns (every float64, NaNs and subnormals included),
-values exponent-uniform over 1e+-300 of either sign, integers below 1e17,
-exact ties of the 17-digit rounding (odd m / 2^(17-k)), and, whatever N,
-every power of ten from 1e-323 to 1e308 with its neighbours one ulp away.
-The run is not part of the tests; at the default N = 10^7 it takes a few
-minutes, nearly all of it in ``%``.  It exits 1 if any byte differs.
+Every CSV writer of ``nhskin.io`` formats its floats with this kernel.
+Formats N values per class with it and with CPython's ``"%.17g" %``,
+compares the bytes, and prints per class the number of values, of
+mismatches and of values the kernel handed to ``%``, and the first
+mismatches.  The classes are random bit patterns (every float64, NaNs and
+subnormals included), values exponent-uniform over 1e+-300 of either sign,
+integers below 1e17, exact ties of the 17-digit rounding (odd m /
+2^(17-k)), and, whatever N, every power of ten from 1e-323 to 1e308 with
+its neighbours one ulp away, and the special values +-0, +-inf, NaN and
+the smallest subnormal and normal of either sign.  The run is not part of
+the tests; at the default N = 10^7 it takes a few minutes, nearly all of it
+in ``%``.  It exits 1 if any byte differs.
 
     PYTHONPATH=src python scripts/format17_oracle.py [--n N] [--seed S]
 """
@@ -52,11 +54,12 @@ CLASSES = {"bit patterns": _bits, "exp-uniform 1e+-300": _spread,
 
 
 def compare(values):
-    """(mismatches as (value, kernel, %) triples, number handed to %)."""
+    """(mismatches as (value, kernel, %) triples, number handed to %: the
+    unproven values other than zeros, which the kernel writes itself)."""
     got = _format17(values, b"\n").tobytes().translate(None, b"\0").decode().split("\n")[:-1]
     want = [FLOAT_FMT % v for v in values.tolist()]
     bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
-    return bad, int(np.sum(~_digits17(values)[2]))
+    return bad, int(np.sum(~_digits17(values)[2] & (values != 0)))
 
 
 def main(argv=None) -> int:
@@ -70,6 +73,8 @@ def main(argv=None) -> int:
             for name, make in CLASSES.items()]
     work.append(("powers of ten +-1 ulp", [np.concatenate(
         [p10, np.nextafter(p10, 0.0), np.nextafter(p10, np.inf)])]))
+    special = np.array([0.0, np.inf, np.nan, 5e-324, np.finfo(float).tiny])
+    work.append(("+-0, +-inf, nan, minima", [np.concatenate([special, -special])]))
     total = 0
     for name, chunks in work:
         t0 = time.perf_counter()

@@ -1,15 +1,15 @@
 """CSV/SVG emitters, readers, and the plain-text run-configuration parser.
 
 CSV uses 17-significant-digit decimals so that every float round-trips
-bit-exactly.  Every CSV writer goes through one column core: a block of
-rows is formatted by one ``%`` on the row template repeated once per row,
-with the 17-digit format for float columns and ``%s`` for string ones,
-giving the bytes ``csv.writer`` would.  Grid-shaped outputs (wavefields,
-coefficients, spectrograms) format their outer value once and tile their
-inner labels.  Energy traces (``time,P``) take an exact vectorized kernel
-for ``"%.17g" % v`` instead, on Dekker's exact product (Numer. Math. 18,
-224 (1971)), which hands what it cannot prove to ``%``.  Tables are written
-in blocks of about 16k rows so memory stays flat.
+bit-exactly.  Every CSV writer goes through one row writer and one float
+formatter: an exact vectorized kernel for ``"%.17g" % v`` on Dekker's exact
+product (Numer. Math. 18, 224 (1971)), which hands the rare value it cannot
+prove to ``%``.  Each column of a block becomes NUL-padded byte rows (floats
+from the kernel, ASCII labels as fixed-width strings), and the block is
+joined into the bytes ``csv.writer`` would give.  Grid-shaped outputs
+(wavefields, coefficients, spectrograms) format their outer value once and
+tile their inner labels.  Tables are written in blocks of about 4k rows so
+memory stays flat.
 Wavefield ``.npz`` files are stored uncompressed, because ``zlib`` saves
 only about 3% on these complex arrays.
 SVG output is generated directly (no plotting dependency).
@@ -35,46 +35,42 @@ from .gbz import GbzMethod
 from .model import Family, LatticeModel, make_model
 
 FLOAT_FMT = "%.17g"
-#: Rows the writers format and write at a time, so that the strings held
-#: in memory stay bounded however large the array is.
-_BLOCK_ROWS = 16384
+#: Rows the writers format and write at a time, so that the bytes held
+#: in memory stay bounded however large the array is; at 16384 rows the
+#: blocks of ``project``'s coefficient tables raise its peak RSS by ~4 MiB.
+_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------- CSV core
 
-def _floats(values) -> list[str]:
-    """A float array (any shape, C order) as 17-digit field strings."""
-    return list(map(FLOAT_FMT.__mod__,
-                    np.asarray(values, dtype=float).ravel().tolist()))
-
-
-def _repeat(fields: list[str], n: int) -> list[str]:
-    """Each field ``n`` times in a row: the outer column of a grid."""
-    return [s for s in fields for _ in range(n)]
+def _fields(column, end: bytes) -> np.ndarray:
+    """A column as uint8 rows, each field followed by ``end`` and NUL
+    padding to drop: a float array through :func:`_format17`, a uint8
+    matrix as it is (fields already formatted), any other column as ASCII
+    strings."""
+    if isinstance(column, np.ndarray) and column.dtype == np.uint8:
+        return column
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return _format17(column, end)
+    text = np.char.add(np.asarray(column, dtype="S"), end)
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
 def _write_rows(fh, columns) -> None:
-    """Write equal-length columns as ``\\r\\n`` CSV rows.
-
-    A float ``ndarray`` column takes the 17-digit format; any other column
-    is a list of field strings.  Each block of up to ``_BLOCK_ROWS`` rows is
-    formatted by one ``%`` on the row template repeated once per row."""
-    row = ",".join(FLOAT_FMT if isinstance(c, np.ndarray) else "%s"
-                   for c in columns) + "\r\n"
-    n = len(columns[0])
-    for i in range(0, n, _BLOCK_ROWS):
-        k = min(_BLOCK_ROWS, n - i)
-        fields = np.empty((k, len(columns)), dtype=object)
-        for j, c in enumerate(columns):
-            fields[:, j] = c[i:i + k]
-        fh.write((row * k) % tuple(fields.ravel().tolist()))
+    """Write equal-length columns (see :func:`_fields`) as ``\\r\\n`` CSV
+    rows.  Each block of up to ``_BLOCK_ROWS`` rows is joined by one
+    ``np.concatenate`` and its NULs are dropped by one ``bytes.translate``."""
+    ends = [b","] * (len(columns) - 1) + [b"\r\n"]
+    for i in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [_fields(c[i:i + _BLOCK_ROWS], end) for c, end in zip(columns, ends)]
+        fh.write(np.concatenate(block, axis=1).tobytes().translate(None, b"\0"))
 
 
 def _write_table(path, header, blocks) -> None:
     """Write the header (plain names, which need no quoting), then each
     block (a list of columns) in turn."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for columns in blocks:
             _write_rows(fh, columns)
 
@@ -84,18 +80,19 @@ def _column(values) -> np.ndarray:
     return np.asarray(values, dtype=float).ravel()
 
 
-def _grid_blocks(outer, inner: list[str], *values):
+def _grid_blocks(outer, inner, *values):
     """Columns ``outer[i], inner[j], v[i, j] for v in values``, j fastest.
 
-    The outer values are formatted once and repeated, the inner labels are
+    The outer values and the inner labels (a column, see :func:`_fields`)
+    are formatted once; the outer rows are repeated and the inner ones
     tiled, and each block covers whole outer steps of about ``_BLOCK_ROWS``
     rows (one step when ``inner`` alone is longer).
     """
-    outer = _floats(outer)
+    outer, inner = _format17(outer, b","), _fields(inner, b",")
     step = max(1, _BLOCK_ROWS // max(1, len(inner)))
     for i in range(0, len(outer), step):
         head = outer[i:i + step]
-        yield [_repeat(head, len(inner)), inner * len(head),
+        yield [np.repeat(head, len(inner), axis=0), np.tile(inner, (len(head), 1)),
                *(_column(v[i:i + step]) for v in values)]
 
 
@@ -162,7 +159,9 @@ def _digits17(v: np.ndarray):
 def _format17(values, end: bytes) -> np.ndarray:
     """Each float as the bytes of ``"%.17g" % v`` and ``end``, one uint8 row
     per value with NUL in the bytes to drop: the sign, a digit of "0000" and
-    the 17 digits each followed by a possible point, then 'e', sign, 3 digits."""
+    the 17 digits each followed by a possible point, then 'e', sign, 3 digits.
+    Zeros are written here as "0" or "-0"; any other value that
+    :func:`_digits17` cannot prove is handed to ``%``."""
     v = np.asarray(values, dtype=float).ravel()
     D, k, proven = _digits17(v)
     digits4, keep = _format_tables()[4:]
@@ -180,21 +179,14 @@ def _format17(values, end: bytes) -> np.ndarray:
     layout = np.where((k >= -4) & (k < 17), k + 4, 21 + (np.abs(k) >= 100))
     keep = np.take(keep, layout * 17 + last - 4, axis=0)
     keep[:, 0] = np.signbit(v)
+    zero = v == 0
+    keep[zero, 1:] = np.arange(1, 48) == 1    # the first "0" of "0000" alone
     row[:, :48] *= keep
-    for i in np.flatnonzero(~proven):
+    for i in np.flatnonzero(~proven & ~zero):
         text = (FLOAT_FMT % v[i]).encode()
         row[i, :48] = 0
         row[i, :len(text)] = np.frombuffer(text, np.uint8)
     return row
-
-
-def _write_series(path, times: np.ndarray, P) -> None:
-    """``time,P`` rows, ``times`` from ``_format17(t, b",")``, in blocks."""
-    with Path(path).open("wb") as fh:
-        fh.write(b"time,P\r\n")
-        for i in range(0, len(P), _BLOCK_ROWS):
-            rows = [times[i:i + _BLOCK_ROWS], _format17(P[i:i + _BLOCK_ROWS], b"\r\n")]
-            fh.write(np.concatenate(rows, axis=1).tobytes().translate(None, b"\0"))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -237,7 +229,7 @@ def read_wavefield_npz(path):
 
 
 def write_energy_csv(path, trace) -> None:
-    _write_series(path, _format17(trace.times, b","), _column(trace.P))
+    _write_table(path, ["time", "P"], [[_column(trace.times), _column(trace.P)]])
 
 
 def sweep_energy_names(m_values) -> list[str]:
@@ -264,19 +256,19 @@ def write_sweep_csv(out, sweep) -> None:
                  [[ms, *sweep.path.hoppings(ms), _column(sweep.growth_rates)]])
     times = _format17(sweep.traces[0].times, b",")
     for name, trace in zip(names, sweep.traces):
-        _write_series(Path(out) / name, times, _column(trace.P))
+        _write_table(Path(out) / name, ["time", "P"], [[times, _column(trace.P)]])
 
 
 def write_spectrogram_csv(path, spectrogram) -> None:
     _write_table(path, ["frequency", "time", "magnitude"],
-                 _grid_blocks(spectrogram.frequencies, _floats(spectrogram.times),
+                 _grid_blocks(spectrogram.frequencies, _column(spectrogram.times),
                               spectrogram.magnitudes))
 
 
 def write_phase_diagram_csv(path, diagram) -> None:
-    t3, t4 = _floats(diagram.t3_grid), _floats(diagram.t4_grid)
+    t3, t4 = _format17(diagram.t3_grid, b","), _format17(diagram.t4_grid, b",")
     _write_table(path, ["t3", "t4", "label", "max_im"],
-                 [[t3 * len(t4), _repeat(t4, len(t3)),
+                 [[np.tile(t3, (len(t4), 1)), np.repeat(t4, len(t3), axis=0),
                    [lab.label.value for lab in diagram.labels.ravel()],
                    _column(diagram.im_magnitude)]])
 

@@ -94,20 +94,29 @@ def _awkward_complex(rng, shape):
     return z
 
 
-@pytest.mark.parametrize("n_outer, n_inner, block", [
-    (1, 1, None),      # a single row
-    (3, 5, 7),         # rows not a multiple of the block
-    (4, 10, 7),        # inner length longer than the block
-    (1100, 17, None),  # several default-size blocks, the last one partial
+@pytest.mark.parametrize("n_outer, n_inner, block, gauge_zeros", [
+    # a single row
+    pytest.param(1, 1, None, False, id="1-1-None"),
+    # rows not a multiple of the block
+    pytest.param(3, 5, 7, False, id="3-5-7"),
+    # inner length longer than the block
+    pytest.param(4, 10, 7, False, id="4-10-7"),
+    # several default-size blocks, the last one partial
+    pytest.param(1100, 17, None, False, id="1100-17-None"),
+    # a real-gauge wavefield: Im = +0 on odd sites, Re = +0 on even ones
+    pytest.param(300, 40, None, True, id="300-40-None-gauge-zeros"),
 ])
 def test_grid_writers_match_row_oracle(tmp_path, monkeypatch, n_outer,
-                                       n_inner, block):
+                                       n_inner, block, gauge_zeros):
     if block is not None:
         monkeypatch.setattr(nio, "_BLOCK_ROWS", block)
     rng = np.random.default_rng(n_outer * 100 + n_inner)
     outer = _awkward_floats(rng, n_outer)
     inner = _awkward_floats(rng, n_inner)
     A = _awkward_complex(rng, (n_outer, n_inner))
+    if gauge_zeros:
+        A.imag[:, 0::2] = 0.0
+        A.real[:, 1::2] = 0.0
 
     write_wavefield_csv(tmp_path / "w.csv",
                         SimpleNamespace(times=outer, amplitudes=A))
@@ -244,10 +253,17 @@ _TIES = np.array([(m + 2 * j) / 2.0 ** (17 - k) for k in range(-4, 12)
     [1e-250, -1e250, 1e300, -1e-300], _TIES, -_TIES])
 def test_format17_hands_what_it_cannot_prove_to_percent(values):
     """Non-finite values, zeros, subnormals, magnitudes outside 1e+-240 and
-    exact ties each take the % branch, with the same bytes."""
+    exact ties are not proven, and are written with the bytes of %."""
     v = np.asarray(values, dtype=float)
     assert not np.any(nio._digits17(v)[2])
     assert _kernel17(v) == _percent17(v)
+
+
+def test_format17_writes_signed_zeros_itself(monkeypatch):
+    """0.0 and -0.0 never reach %: with the % format replaced by a sentinel
+    they still read 0 and -0, while inf, which does reach %, takes it."""
+    monkeypatch.setattr(nio, "FLOAT_FMT", "<%s>")
+    assert _kernel17([0.0, -0.0, 1.5, -0.0, np.inf]) == b"0\n-0\n1.5\n-0\n<inf>\n"
 
 
 def test_format17_proves_ordinary_values():
