@@ -7,9 +7,11 @@ mismatches and of values the kernel handed to ``%``, and the first
 mismatches.  The classes are random bit patterns (every float64, NaNs and
 subnormals included), values exponent-uniform over 1e+-300 of either sign,
 integers below 1e17, exact ties of the 17-digit rounding (odd m /
-2^(17-k)), and, whatever N, every power of ten from 1e-323 to 1e308 with
-its neighbours one ulp away, and the special values +-0, +-inf, NaN and
-the smallest subnormal and normal of either sign.  The run is not part of
+2^(17-k)), random bit patterns with about half of them replaced by +-0 at
+random positions (zeros skip the kernel, so this checks the rows around
+them), and, whatever N, every power of ten from 1e-323 to 1e308 with its
+neighbours one ulp away, and the special values +-0, +-inf, NaN and the
+smallest subnormal and normal of either sign.  The run is not part of
 the tests; at the default N = 10^7 it takes a few minutes, nearly all of it
 in ``%``.  It exits 1 if any byte differs.
 
@@ -49,8 +51,16 @@ def _ties(rng, n):
     return m / 2.0 ** (17 - k)
 
 
+def _with_zeros(rng, n):
+    v = _bits(rng, n)
+    at = rng.random(n) < 0.5
+    v[at] = np.copysign(0.0, v[at])
+    return v
+
+
 CLASSES = {"bit patterns": _bits, "exp-uniform 1e+-300": _spread,
-           "integers < 1e17": _integers, "17-digit ties": _ties}
+           "integers < 1e17": _integers, "17-digit ties": _ties,
+           "bit patterns with +-0": _with_zeros}
 
 
 def compare(values):

@@ -4,15 +4,18 @@ CSV uses 17-significant-digit decimals so that every float round-trips
 bit-exactly.  Every CSV writer goes through one row writer and one float
 formatter: an exact vectorized kernel for ``"%.17g" % v`` on Dekker's exact
 product (Numer. Math. 18, 224 (1971)), which hands the rare value it cannot
-prove to ``%``.  Each column of a block becomes NUL-padded byte rows (floats
-from the kernel, ASCII labels as fixed-width strings), and the block is
-joined into the bytes ``csv.writer`` would give.  Grid-shaped outputs
-(wavefields, coefficients, spectrograms) format their outer value once and
-tile their inner labels.  Tables are written in blocks of about 4k rows so
-memory stays flat.
+prove to ``%``; zeros skip the kernel and are written as "0" or "-0".  Each
+column of a block becomes NUL-padded byte rows (floats from the kernel,
+ASCII labels as fixed-width strings), and the block is joined into the bytes
+``csv.writer`` would give.  Columns written many times (a grid's outer
+values and inner labels, the sweep's shared time grid, the phase diagram's
+axes) are formatted once and packed to their widest field before they are
+repeated or tiled.  Tables are written in blocks of about 4k rows so memory
+stays flat.
 Wavefield ``.npz`` files are stored uncompressed, because ``zlib`` saves
 only about 3% on these complex arrays.
-SVG output is generated directly (no plotting dependency).
+SVG output is generated directly (no plotting dependency); a heatmap's
+colours are computed for the whole matrix in one array pass.
 The configuration format is INI-like: ``[section]`` headers and
 ``key = value`` lines.  ``CONFIG_SCHEMA`` gives every key its converter and
 its default, and each value is converted on the line that sets it; unknown
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PATH1, PATH2
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 from .gbz import GbzMethod
 from .model import Family, LatticeModel, make_model
 
@@ -75,6 +78,16 @@ def _write_table(path, header, blocks) -> None:
             _write_rows(fh, columns)
 
 
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Byte rows (see :func:`_fields`) with their NULs dropped, left-aligned
+    and NUL-padded to the longest, for a column written many times."""
+    full = rows != 0
+    width = full.sum(axis=1)
+    out = np.zeros((len(rows), width.max(initial=0)), np.uint8)
+    out[np.arange(out.shape[1]) < width[:, None]] = rows[full]
+    return out
+
+
 def _column(values) -> np.ndarray:
     """A float array (any shape, C order) as one flat float column."""
     return np.asarray(values, dtype=float).ravel()
@@ -84,11 +97,11 @@ def _grid_blocks(outer, inner, *values):
     """Columns ``outer[i], inner[j], v[i, j] for v in values``, j fastest.
 
     The outer values and the inner labels (a column, see :func:`_fields`)
-    are formatted once; the outer rows are repeated and the inner ones
-    tiled, and each block covers whole outer steps of about ``_BLOCK_ROWS``
-    rows (one step when ``inner`` alone is longer).
+    are formatted and packed once; the outer rows are repeated and the inner
+    ones tiled, and each block covers whole outer steps of about
+    ``_BLOCK_ROWS`` rows (one step when ``inner`` alone is longer).
     """
-    outer, inner = _format17(outer, b","), _fields(inner, b",")
+    outer, inner = _packed(_format17(outer, b",")), _packed(_fields(inner, b","))
     step = max(1, _BLOCK_ROWS // max(1, len(inner)))
     for i in range(0, len(outer), step):
         head = outer[i:i + step]
@@ -102,24 +115,36 @@ _SPLIT, _J0 = 134217729.0, -232
 
 @functools.cache
 def _format_tables():
-    """10^j = hi + lo for j = -232..264 (int / int rounds correctly), hi's
-    Dekker halves, the ASCII digits of every 4-digit group, and the kept
-    columns of a :func:`_format17` row by layout and last nonzero digit."""
+    """10^j = hi + lo for j = -232..264 (int / int rounds correctly) as rows
+    (hi, hi's Dekker halves, lo); the ASCII digits of every 4-digit group,
+    each followed by a point slot, as one uint64; the trailing zeros of each
+    group; the bytes "e+XXX" of every exponent from -999 to 999; and the
+    kept bytes (0 or 255) of a :func:`_nonzero17` row by layout and last
+    nonzero digit."""
     pows = [(10 ** max(j, 0), 10 ** max(-j, 0)) for j in range(_J0, 265)]
     hi = np.array([num / den for num, den in pows])
     lo = np.array([(num * d - n * den) / (den * d)
                    for (num, den), (n, d) in zip(pows, map(float.as_integer_ratio, hi))])
     hh = _SPLIT * hi - (_SPLIT * hi - hi)
+    pow10 = np.stack([hi, hh, hi - hh, lo], axis=1)
     digits4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    dotted4 = np.full((10000, 8), ord("."), np.uint8)
+    dotted4[:, ::2] = digits4
+    zeros4 = np.cumprod(digits4[:, ::-1] == ord("0"), axis=1).sum(axis=1).astype(np.int8)
+    k = np.arange(-999, 1000)
+    exps = np.c_[np.full(len(k), ord("e")), np.where(k < 0, ord("-"), ord("+")),
+                 digits4[np.abs(k), 1:]].astype(np.uint8)
     q = np.arange(21)    # digit q of "0000" + the 17 digits
     e = np.r_[-4:17, 0, 0][:, None, None]    # fixed at exponent -4..16, then e+XX, e+XXX
     last = np.arange(4, 21)[:, None]
-    keep = np.zeros((23, 17, 48), bool)
+    keep = np.zeros((23, 17, 50), bool)
+    keep[:, :, 0] = keep[:, :, 48:] = True    # the sign (NUL or "-") and the end
     keep[:, :, 1:43:2] = (q >= 4 + np.minimum(e, 0)) & ((q <= 4 + e) | (q <= last))
     keep[:, :, 2:43:2] = (q == 4 + e) & (last > 4 + e)    # the point after digit q
     keep[21:, :, [43, 44, 46, 47]] = True
     keep[22, :, 45] = True
-    return hi, lo, hh, hi - hh, digits4, keep.reshape(-1, 48)
+    return (pow10, dotted4.view(np.uint64).ravel(), zeros4, exps,
+            keep.reshape(-1, 50) * np.uint8(255))
 
 
 def _digits17(v: np.ndarray):
@@ -127,18 +152,19 @@ def _digits17(v: np.ndarray):
     in [10^16, 10^17), from a double-double by Dekker's exact product, and
     whether D is proven; it is not for values that are not finite and normal
     within 1e+-240, nor where the low part is within 1e-6 of a half-integer."""
-    hi, lo, hh, hl = _format_tables()[:4]
+    pow10 = _format_tables()[0]
     a = np.abs(v)
     proven = (a >= 1e-240) & (a < 1e240)
     a = np.where(proven, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)
 
     def scaled(a, k):
-        j = 16 - k - _J0
-        ah = _SPLIT * a - (_SPLIT * a - a)
+        hi, hh, hl, lo = np.take(pow10, 16 - k - _J0, axis=0).T
+        ah = _SPLIT * a
+        ah -= ah - a
         al = a - ah
-        p = a * hi[j]
-        e = ((ah * hh[j] - p) + ah * hl[j] + al * hh[j]) + al * hl[j] + a * lo[j]
+        p = a * hi
+        e = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
         s = p + e    # above 2^53 an even integer, so ties of rint(e) go to even
         e -= s - p
         r = np.rint(e)
@@ -148,6 +174,8 @@ def _digits17(v: np.ndarray):
     for _ in range(2):    # log10 can miss k by one next to a power of ten
         step = (D > 10**17).astype(np.int64) - ((D < 10**16) | (D == 10**16) & (f < 0))
         fix = np.flatnonzero(step)
+        if not len(fix):
+            break
         k[fix] += step[fix]
         D[fix], f[fix] = scaled(a[fix], k[fix])
     carry = D == 10**17    # rounded up to the next power of ten
@@ -158,31 +186,46 @@ def _digits17(v: np.ndarray):
 
 def _format17(values, end: bytes) -> np.ndarray:
     """Each float as the bytes of ``"%.17g" % v`` and ``end``, one uint8 row
-    per value with NUL in the bytes to drop: the sign, a digit of "0000" and
-    the 17 digits each followed by a possible point, then 'e', sign, 3 digits.
-    Zeros are written here as "0" or "-0"; any other value that
-    :func:`_digits17` cannot prove is handed to ``%``."""
+    per value with NUL in the bytes to drop (see :func:`_nonzero17`).  Zeros
+    are written here as "0" or "-0"; only the other values go through the
+    kernel."""
     v = np.asarray(values, dtype=float).ravel()
-    D, k, proven = _digits17(v)
-    digits4, keep = _format_tables()[4:]
-    groups = np.stack([D // 10**16, D // 10**12 % 10**4, D // 10**8 % 10**4,
-                       D // 10**4 % 10**4, D % 10**4], axis=1)
-    row = np.empty((len(v), 48 + len(end)), np.uint8)
-    row[:, 0:3] = ord("-"), ord("0"), ord(".")
-    row[:, 3:43:2] = np.take(digits4, groups, axis=0).reshape(-1, 20)
-    row[:, 4:43:2] = ord(".")
-    row[:, 43] = ord("e")
-    row[:, 44] = np.where(k < 0, ord("-"), ord("+"))
-    row[:, 45:48] = np.take(digits4, np.minimum(np.abs(k), 999), axis=0)[:, 1:]
-    row[:, 48:] = np.frombuffer(end, np.uint8)
-    last = 20 - np.argmax(row[:, 41:8:-2] != ord("0"), axis=1)
-    layout = np.where((k >= -4) & (k < 17), k + 4, 21 + (np.abs(k) >= 100))
-    keep = np.take(keep, layout * 17 + last - 4, axis=0)
-    keep[:, 0] = np.signbit(v)
     zero = v == 0
-    keep[zero, 1:] = np.arange(1, 48) == 1    # the first "0" of "0000" alone
-    row[:, :48] *= keep
-    for i in np.flatnonzero(~proven & ~zero):
+    if not zero.any():
+        return _nonzero17(v, end)
+    zeros = np.zeros((2, 48 + len(end)), np.uint8)    # "0" and "-0"
+    zeros[:, 1], zeros[1, 0], zeros[:, 48:] = ord("0"), ord("-"), np.frombuffer(end, np.uint8)
+    row = np.take(zeros, np.signbit(v).view(np.int8), axis=0)
+    if not zero.all():
+        row[~zero] = _nonzero17(v[~zero], end)
+    return row
+
+
+def _nonzero17(v: np.ndarray, end: bytes) -> np.ndarray:
+    """:func:`_format17` of nonzero floats: each row holds the sign, a digit
+    of "0000" and the 17 digits of :func:`_digits17` each followed by a
+    possible point, then 'e', sign, 3 digits and ``end`` (at most 2 bytes);
+    a value that the kernel cannot prove is handed to ``%``."""
+    D, k, proven = _digits17(v)
+    dotted4, zeros4, exps, keep = _format_tables()[1:]
+    n, width = len(v), 48 + len(end)
+    groups = np.empty((n, 5), np.int64)    # the 4-digit groups of D, "000d" first
+    high, low = np.divmod(D, 10**8)
+    np.divmod(high, 10**4, out=(groups[:, 1], groups[:, 2]))
+    np.divmod(low, 10**4, out=(groups[:, 3], groups[:, 4]))
+    np.divmod(groups[:, 1], 10**4, out=(groups[:, 0], groups[:, 1]))
+    row = np.empty((n, width), np.uint8)
+    row[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    row[:, 1:3] = ord("0"), ord(".")
+    row[:, 3:43] = np.take(dotted4, groups).view(np.uint8).reshape(n, 40)
+    row[:, 43:48] = np.take(exps, k + 999, axis=0)
+    row[:, 48:] = np.frombuffer(end, np.uint8)
+    z = np.take(zeros4, groups[:, :0:-1])    # lowest group first; "000d" has none
+    tz = z[:, 0] + (z[:, 0] == 4) * (z[:, 1] + (z[:, 1] == 4) * (
+        z[:, 2] + (z[:, 2] == 4) * z[:, 3]))    # trailing zeros of D
+    layout = np.where((k >= -4) & (k < 17), k + 4, 21 + (np.abs(k) >= 100))
+    row &= np.take(keep[:, :width], layout * 17 + 16 - tz, axis=0)
+    for i in np.flatnonzero(~proven):
         text = (FLOAT_FMT % v[i]).encode()
         row[i, :48] = 0
         row[i, :len(text)] = np.frombuffer(text, np.uint8)
@@ -249,12 +292,13 @@ def sweep_energy_names(m_values) -> list[str]:
 
 def write_sweep_csv(out, sweep) -> None:
     """``sweep.csv`` and one ``energy_m<m>.csv`` per sample into directory
-    ``out``; the samples share one time grid, so its column is formatted once."""
+    ``out``; the samples share one time grid, so its column is formatted and
+    packed once."""
     names = sweep_energy_names(sweep.m_values)
     ms = _column(sweep.m_values)
     _write_table(Path(out) / "sweep.csv", ["m", "t3", "t4", "lambda"],
                  [[ms, *sweep.path.hoppings(ms), _column(sweep.growth_rates)]])
-    times = _format17(sweep.traces[0].times, b",")
+    times = _packed(_format17(sweep.traces[0].times, b","))
     for name, trace in zip(names, sweep.traces):
         _write_table(Path(out) / name, ["time", "P"], [[times, _column(trace.P)]])
 
@@ -266,7 +310,7 @@ def write_spectrogram_csv(path, spectrogram) -> None:
 
 
 def write_phase_diagram_csv(path, diagram) -> None:
-    t3, t4 = _format17(diagram.t3_grid, b","), _format17(diagram.t4_grid, b",")
+    t3, t4 = (_packed(_format17(grid, b",")) for grid in (diagram.t3_grid, diagram.t4_grid))
     _write_table(path, ["t3", "t4", "label", "max_im"],
                  [[np.tile(t3, (len(t4), 1)), np.repeat(t4, len(t3), axis=0),
                    [lab.label.value for lab in diagram.labels.ravel()],
@@ -289,41 +333,50 @@ def _svg_document(width, height, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"])
 
 
-def _viridis(u: float) -> str:
-    """Small fixed-stop approximation of a perceptual colormap."""
-    stops = [(0.267, 0.005, 0.329), (0.283, 0.141, 0.458),
-             (0.254, 0.265, 0.530), (0.207, 0.372, 0.553),
-             (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
-             (0.135, 0.659, 0.518), (0.267, 0.749, 0.441),
-             (0.478, 0.821, 0.318), (0.741, 0.873, 0.150),
-             (0.993, 0.906, 0.144)]
-    u = min(max(float(u), 0.0), 1.0) * (len(stops) - 1)
-    i = min(int(u), len(stops) - 2)
-    f = u - i
-    rgb = [(1 - f) * a + f * b for a, b in zip(stops[i], stops[i + 1])]
-    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
+#: the fixed stops of a small approximation of a perceptual colormap
+_VIRIDIS = np.array([(0.267, 0.005, 0.329), (0.283, 0.141, 0.458),
+                     (0.254, 0.265, 0.530), (0.207, 0.372, 0.553),
+                     (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
+                     (0.135, 0.659, 0.518), (0.267, 0.749, 0.441),
+                     (0.478, 0.821, 0.318), (0.741, 0.873, 0.150),
+                     (0.993, 0.906, 0.144)])
+
+
+def _viridis(u: np.ndarray) -> list[str]:
+    """The ``#rrggbb`` colour of each u (clipped to [0, 1]), linear between
+    the stops; channels are rounded half to even, as ``round`` does."""
+    u = np.clip(u, 0.0, 1.0).ravel() * (len(_VIRIDIS) - 1)
+    i = np.minimum(u.astype(np.int64), len(_VIRIDIS) - 2)
+    f = (u - i)[:, None]
+    rgb = np.rint(255 * ((1 - f) * _VIRIDIS[i] + f * _VIRIDIS[i + 1])).astype(np.int64)
+    return ["#%06x" % c for c in (rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2]).tolist()]
 
 
 def write_svg_heatmap(path, values: np.ndarray, title: str = "",
                       cell: int = 12) -> None:
-    """Render a matrix as a colored-cell heatmap (row 0 at the bottom)."""
+    """Render a matrix as a colored-cell heatmap (row 0 at the bottom).
+
+    Raises :class:`NumericalError` when a cell is not finite, since it has
+    no colour."""
     V = np.asarray(values, dtype=float)
     if V.ndim != 2:
         raise ValidationError("heatmap expects a 2-D array")
-    lo, hi = float(np.nanmin(V)), float(np.nanmax(V))
+    bad = V.size - np.count_nonzero(np.isfinite(V))
+    if bad:
+        raise NumericalError(f"heatmap {title!r}: {bad} of {V.size} cells are not finite")
+    lo, hi = float(V.min()), float(V.max())
     span = hi - lo if hi > lo else 1.0
     ny, nx = V.shape
     margin = 20
     body = []
     if title:
         body.append(f'<text x="{margin}" y="14" font-size="12">{title}</text>')
+    colours = _viridis((V - lo) / span)
     for iy in range(ny):
+        y = margin + (ny - 1 - iy) * cell
         for ix in range(nx):
-            c = _viridis((V[iy, ix] - lo) / span)
-            x = margin + ix * cell
-            y = margin + (ny - 1 - iy) * cell
-            body.append(f'<rect x="{x}" y="{y}" width="{cell}" '
-                        f'height="{cell}" fill="{c}"/>')
+            body.append(f'<rect x="{margin + ix * cell}" y="{y}" width="{cell}" '
+                        f'height="{cell}" fill="{colours[iy * nx + ix]}"/>')
     doc = _svg_document(2 * margin + nx * cell, 2 * margin + ny * cell, body)
     Path(path).write_text(doc + "\n")
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nhskin import (chain_eigenvalues, default_time_grid, evolve, gap_report, gbz_compute,
-                    obc_decomposition, pair_with_negated_conjugate, poke_state, stft,
-                    synthesize_signal, transition_sweep)
+                    obc_decomposition, pair_with_negated_conjugate, poke_state,
+                    scan_phase_diagram, stft, synthesize_signal, transition_sweep)
 from nhskin.cli import PRESETS, main
 from nhskin.io import model_from_config, parse_config, read_csv, write_spectrogram_csv
 
@@ -426,6 +426,22 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert main(["evolve", "--preset", "fig4e", "--config", cfg,
                  "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_heatmap_of_a_cell_that_is_not_finite_exits_3(tmp_path, capsys, monkeypatch):
+    """A NaN cell in the phase-diagram heatmap is a numerical failure."""
+    scan = scan_phase_diagram
+
+    def nan_cell(*args, **kwargs):
+        diagram = scan(*args, **kwargs)
+        diagram.im_magnitude[0, 1] = np.nan
+        return diagram
+
+    monkeypatch.setattr("nhskin.cli.scan_phase_diagram", nan_cell)
+    cfg = _write(tmp_path, "run.cfg", "[phase_diagram]\nresolution = 2\nn_cells = 4\n")
+    assert main(["phase-diagram", "--preset", "fig3d", "--config", cfg, "--format", "svg",
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "1 of 4 cells are not finite" in capsys.readouterr().err
 
 
 def test_projection_that_overflows_exits_3_and_writes_nothing(tmp_path, capsys):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhskin import ConfigError, Family, GbzMethod, ValidationError, make_model, obc_spectrum
+from nhskin import (ConfigError, Family, GbzMethod, NumericalError, ValidationError,
+                    make_model, obc_spectrum)
 from nhskin import io as nio
 from nhskin.analysis import PATH1, Phase
 from nhskin.cli import main
@@ -266,6 +267,29 @@ def test_format17_writes_signed_zeros_itself(monkeypatch):
     assert _kernel17([0.0, -0.0, 1.5, -0.0, np.inf]) == b"0\n-0\n1.5\n-0\n<inf>\n"
 
 
+#: the zero path of _format17: blocks with no zeros, only zeros of both
+#: signs, one nonzero among zeros, and zeros at the first and last positions
+_ZERO_CASES = {
+    "no-zeros": np.r_[1.5, -2.25e-7, np.nan, 1e300, -np.inf, 5e-324, 0.1],
+    "only-zeros": np.r_[0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+    "one-nonzero": np.r_[0.0, -0.0, 0.0, -1.0 / 3.0, -0.0, 0.0, 0.0],
+    "zeros-at-ends": np.r_[-0.0, 2.5, np.inf, -1e-300, 7e22, np.nan, 0.0],
+}
+
+
+@pytest.mark.parametrize("values", _ZERO_CASES.values(), ids=_ZERO_CASES.keys())
+def test_format17_zero_path_matches_percent(tmp_path, monkeypatch, values):
+    assert _kernel17(values) == _percent17(values)
+    monkeypatch.setattr(nio, "_BLOCK_ROWS", 5)
+    A = np.empty((len(values), 2), dtype=complex)
+    A.real, A.imag = values[:, None], values[::-1, None]
+    write_wavefield_csv(tmp_path / "w.csv", SimpleNamespace(times=values, amplitudes=A))
+    assert (tmp_path / "w.csv").read_bytes() == _oracle_csv(
+        ["time", "site", "Re_psi", "Im_psi"],
+        ((float(t), ix + 1, float(A[it, ix].real), float(A[it, ix].imag))
+         for it, t in enumerate(values) for ix in range(2)))
+
+
 def test_format17_proves_ordinary_values():
     rng = np.random.default_rng(5)
     v = 10.0 ** rng.uniform(-200, 200, 10_000)
@@ -302,6 +326,70 @@ def test_svg_heatmap_is_valid_xml(tmp_path):
     assert root.tag.endswith("svg")
     rects = [e for e in root.iter() if e.tag.endswith("rect")]
     assert len(rects) == 12
+
+
+def _oracle_viridis(u: float) -> str:
+    """The per-cell colour of the heatmap writer before it was vectorized."""
+    stops = [(0.267, 0.005, 0.329), (0.283, 0.141, 0.458),
+             (0.254, 0.265, 0.530), (0.207, 0.372, 0.553),
+             (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
+             (0.135, 0.659, 0.518), (0.267, 0.749, 0.441),
+             (0.478, 0.821, 0.318), (0.741, 0.873, 0.150),
+             (0.993, 0.906, 0.144)]
+    u = min(max(float(u), 0.0), 1.0) * (len(stops) - 1)
+    i = min(int(u), len(stops) - 2)
+    f = u - i
+    rgb = [(1 - f) * a + f * b for a, b in zip(stops[i], stops[i + 1])]
+    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
+
+
+def _oracle_heatmap(V, title, cell) -> bytes:
+    """The heatmap writer's bytes, one cell at a time."""
+    lo, hi = float(np.nanmin(V)), float(np.nanmax(V))
+    span = hi - lo if hi > lo else 1.0
+    ny, nx = V.shape
+    margin = 20
+    body = [f'<text x="{margin}" y="14" font-size="12">{title}</text>'] if title else []
+    for iy in range(ny):
+        for ix in range(nx):
+            c = _oracle_viridis((V[iy, ix] - lo) / span)
+            body.append(f'<rect x="{margin + ix * cell}" y="{margin + (ny - 1 - iy) * cell}" '
+                        f'width="{cell}" height="{cell}" fill="{c}"/>')
+    w, h = 2 * margin + nx * cell, 2 * margin + ny * cell
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+            f'height="{h}" viewBox="0 0 {w} {h}">')
+    return ("\n".join([head, *body, "</svg>"]) + "\n").encode()
+
+
+_rng = np.random.default_rng(23)
+_HEATMAPS = {
+    "random": _rng.random((17, 29)),
+    "random-wide-range": _rng.standard_normal((9, 40)) * 10.0 ** _rng.integers(-5, 5, (9, 40)),
+    # u = i / 10 exactly, and (V - lo) / span on the stops of a 0..10 range
+    "on-the-stops": np.c_[np.arange(11) / 10, np.arange(11)[::-1] / 10],
+    "on-the-stops-0-10": np.arange(11.0).reshape(1, 11),
+    "constant": np.full((3, 5), 2.5),
+    "negative": -_rng.random((6, 7)) - 3.0,
+}
+
+
+@pytest.mark.parametrize("V", _HEATMAPS.values(), ids=_HEATMAPS.keys())
+def test_svg_heatmap_matches_the_per_cell_oracle(tmp_path, V):
+    write_svg_heatmap(tmp_path / "h.svg", V, title="t", cell=3)
+    assert (tmp_path / "h.svg").read_bytes() == _oracle_heatmap(V, "t", 3)
+    write_svg_heatmap(tmp_path / "h.svg", V)
+    assert (tmp_path / "h.svg").read_bytes() == _oracle_heatmap(V, "", 12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svg_heatmap_rejects_cells_that_are_not_finite(tmp_path, bad):
+    """A cell that is not finite has no colour: the writer raises
+    NumericalError (exit 3 from the CLI) naming how many there are."""
+    with pytest.raises(NumericalError, match="heatmap 'x': 1 of 4 cells are not finite"):
+        write_svg_heatmap(tmp_path / "h.svg", [[1.0, bad], [2.0, 3.0]], title="x")
+    with pytest.raises(NumericalError, match="2 of 4 cells"):
+        write_svg_heatmap(tmp_path / "h.svg", [[bad, bad], [2.0, 3.0]])
+    assert not (tmp_path / "h.svg").exists()
 
 
 def test_svg_heatmap_rejects_1d(tmp_path):
