@@ -34,15 +34,6 @@ class Phase(str, Enum):
     BOUNDARY = "Boundary"
 
 
-_PRIMED_SWAP = {
-    Phase.A: Phase.APRIME, Phase.APRIME: Phase.A,
-    Phase.B: Phase.BPRIME, Phase.BPRIME: Phase.B,
-    Phase.C: Phase.CPRIME, Phase.CPRIME: Phase.C,
-    Phase.HERMITIAN_LINE: Phase.HERMITIAN_LINE,
-    Phase.BOUNDARY: Phase.BOUNDARY,
-}
-
-
 @dataclass(frozen=True)
 class PhaseLabel:
     """Classification of one parameter point with its evidence."""
@@ -203,7 +194,7 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0) -> PhaseLabel
     else:
         base = Phase.B
     if sd.direction is Direction.RIGHT:
-        base = _PRIMED_SWAP[base]
+        base = Phase(base.value + "prime")
     return PhaseLabel(base, report.max_abs_im, report.line_gap_width, sd)
 
 

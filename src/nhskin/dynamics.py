@@ -1,16 +1,16 @@
 """Time evolution under the effective first-order equation i dpsi/dt = H psi.
 
-Propagation steps a uniform time grid with the matrix exponential
-U = expm(-i H dt) of the open chain, a NumPy [13/13] Pade approximant with
+Every open chain is bipartite, its hoppings joining sublattice A only to
+B, so it propagates T psi, T = diag(1 on A, i on B), under the real
+K = -i T H T^-1.  Propagation steps a uniform time grid with the matrix
+exponential U = expm(dt K), a NumPy [13/13] Pade approximant with
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)),
 so its accuracy does not depend on how well conditioned the chain's
 eigenvector basis is (strongly non-normal chains reach condition numbers
 of 1e14-1e17).  The states come
 in blocks of B rows: the first is built by doubling with U, U^2, U^4, ...,
-and each later one is the previous block times U^B.  A chiral chain (GT,
-NH-SSH) propagates T psi, T = diag(1 on A, i on B), by expm(dt K) with the
-real K = -i T H T^-1, so a poke is one real product per block; Hatano-Nelson
-keeps the complex U.  The uniform
+and each later one is the previous block times U^B, so a poke is one real
+product per block.  The uniform
 damping gamma is a scalar shift of the Hamiltonian and is factored out as
 an exact exp(-gamma*t) envelope, which keeps the damping-factorization
 identity exact.  The spectrogram is a NumPy STFT: a periodic Hann window
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HorizonTruncationError, ValidationError
-from .model import _CHIRAL_SUBLATTICE, LatticeModel, real_space_hamiltonian
+from .model import LatticeModel, _sublattice_a, real_space_hamiltonian
 
 #: amplitude magnitude beyond which evolution is truncated
 OVERFLOW_GUARD = 1e120
@@ -111,9 +111,9 @@ def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
     """Check ``psi0`` and the time grid, then yield ``(i, block, magnitude,
     back)``: the undamped open-chain states phi at ``t[i:i + len(block)]``,
     their moduli, which the overflow guard has already taken, and psi = back
-    * phi (psi = phi when None).  A chiral chain propagates phi = T psi / c,
-    T = diag(1 on A, i on B), c the phase of its largest entry at t = 0, by
-    the real K = -i T H T^-1, in real arithmetic when phi is real."""
+    * phi.  The chain propagates phi = T psi / c, T = diag(1 on A, i on B),
+    c the phase of its largest entry at t = 0, by the real K = -i T H T^-1
+    (H joins A only to B), in real arithmetic when phi is real."""
     psi0 = np.asarray(psi0, dtype=complex)
     n = model.n_sites
     if psi0.shape != (n,):
@@ -125,16 +125,14 @@ def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
         raise ValidationError("t_grid must be uniformly spaced")
     B = min(1 << (max(1, _BLOCK_ENTRIES // n).bit_length() - 1), len(t))
     H = real_space_hamiltonian(model.with_(gamma=0.0))
-    block, back, G = psi0[None, :], None, -1j * dt * H    # t = 0 is exact
-    if model.family in _CHIRAL_SUBLATTICE:
-        on_b = ~np.isin(np.arange(n) % model.sites_per_cell, _CHIRAL_SUBLATTICE[model.family])
-        G = dt * H.real * (on_b[:, None] * 1.0 - on_b[None, :])    # -H from A to B, H from B to A
-        phi = np.where(on_b, 1j, 1) * block
-        big = phi.flat[np.argmax(np.abs(phi))]
-        c = big / abs(big) if big else 1.0
-        block, back = phi / c, np.where(on_b, -1j, 1) * c
-        block = block if np.any(block.imag) else block.real
-    W = _expm(G).T    # rows are states: they advance by U^T
+    on_b = ~_sublattice_a(model)
+    G = dt * H.real * (on_b[:, None] * 1.0 - on_b[None, :])    # -H from A to B, H from B to A
+    phi = np.where(on_b, 1j, 1) * psi0
+    big = phi[np.argmax(np.abs(phi))]
+    c = big / abs(big) if big else 1.0
+    block, back = phi[None, :] / c, np.where(on_b, -1j, 1) * c
+    block = block if np.any(block.imag) else block.real
+    W = _expm(G).T    # rows are states: they advance by U^T, U = expm(dt K)
     for i in range(0, len(t), B):
         with np.errstate(over="ignore", invalid="ignore"):    # the guard catches overflow
             while i == 0 and len(block) < B:    # doubling: W = (U^len(block))^T
@@ -157,8 +155,9 @@ def evolve(model: LatticeModel, psi0: np.ndarray, t_grid: np.ndarray) -> WaveFie
     t = np.asarray(t_grid, dtype=float)
     amps = np.empty((len(t), model.n_sites), dtype=complex)
     for i, block, _, back in _blocks(model, psi0, t):
-        # adding 0 turns the -0 of a product into the +0 the complex path keeps
-        amps[i:i + len(block)] = block if back is None else back * block + 0.0
+        # adding 0 turns the -0 of a product into the +0 that propagating psi
+        # itself by expm(-i H dt), the tests' oracle, keeps
+        amps[i:i + len(block)] = back * block + 0.0
     if model.gamma:
         amps *= np.exp(-model.gamma * t)[:, None]
     return WaveField(t, amps, model)

@@ -25,10 +25,10 @@ The open chain that ``obc_fit`` fits, and that the gap report judges, is
 solved in the imaginary gauge that brings its GBZ near the unit circle
 (radius |beta_T| of the touching point for the double chain, the circle's
 radius for the reference models), which leaves its eigenvalues and removes
-most of its non-normality.  The chiral families are solved on half the
-sites, as E^2 = eig(C D) of the blocks joining the two sublattices; a chain
-with an eigenvalue too close to 0 for E^2 to resolve it is solved at full
-size.
+most of its non-normality.  Every family's chain is bipartite and is
+solved on half the sites, as E^2 = eig(C D) of the blocks joining the two
+sublattices; a chain whose sublattices differ in size, or with an
+eigenvalue too close to 0 for E^2 to resolve it, is solved at full size.
 
 The double chain has four bands that the combined glide/time-reversal
 symmetry groups into two pairs (E, -conj(E)); each pair traces one GBZ
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
-from .model import _CHIRAL_SUBLATTICE, Family, LatticeModel, _hopping_blocks, _open_chain
+from .model import Family, LatticeModel, _hopping_blocks, _open_chain, _sublattice_a
 
 
 class GbzMethod(str, Enum):
@@ -431,23 +431,23 @@ def chain_eigenvalues(model: LatticeModel) -> np.ndarray:
     of :func:`_gauge_radius` (Hatano & Nelson, PRL 77, 570 (1996); Yao &
     Wang, PRL 121, 086803 (2018)): the same eigenvalues, far less
     non-normal.  It is assembled from the blocks (H0, r Hp, Hm / r), so no
-    power of r is formed, and solved in real arithmetic.  A chiral chain
+    power of r is formed, and solved in real arithmetic.  Every chain
     couples sublattice A only to B, so E = +-sqrt(lambda) over the
     eigenvalues lambda of C D on half the sites, C and D its A-B and B-A
-    blocks.  Where min|lambda| < sqrt(eps) max|lambda| some E^2 keeps less
-    than half its digits, and the full gauged chain is solved instead, as
-    it is for Hatano-Nelson."""
+    blocks.  The full gauged chain is solved instead where the sublattices
+    differ in size (an odd Hatano-Nelson chain), and where
+    min|lambda| < sqrt(eps) max|lambda|, as some E^2 then keeps less than
+    half its digits."""
     _, blocks = _gauged_blocks(model)
-    if model.family in _CHIRAL_SUBLATTICE:
-        a = np.isin(np.arange(model.sites_per_cell), _CHIRAL_SUBLATTICE[model.family])
-        C = _open_chain(*(blk[a][:, ~a] for blk in blocks), model.n_cells)
-        D = _open_chain(*(blk[~a][:, a] for blk in blocks), model.n_cells)
-        lam = np.linalg.eigvals(C @ D).astype(complex, copy=False)
+    H = _open_chain(*blocks, model.n_cells)
+    a = _sublattice_a(model)
+    if 2 * np.count_nonzero(a) == len(a):
+        lam = np.linalg.eigvals(H[np.ix_(a, ~a)] @ H[np.ix_(~a, a)]).astype(complex, copy=False)
         size = np.abs(lam)
         if size.min() >= np.sqrt(np.finfo(float).eps) * size.max():
             e = np.sqrt(lam)
             return np.concatenate([e, -e])
-    return np.linalg.eigvals(_open_chain(*blocks, model.n_cells)).astype(complex, copy=False)
+    return np.linalg.eigvals(H).astype(complex, copy=False)
 
 
 def _obc_fit_gbz(model: LatticeModel, n_sites: int):
@@ -610,7 +610,8 @@ def gap_report(gbz: GBZ, eigenvalues: np.ndarray) -> GapReport:
     """Bulk line-gap width, in-gap mode count, and spectrum-realness flags.
 
     The gap is measured on the non-Bloch bulk bands sampled over the GBZ
-    (which excludes topological in-gap edge modes by construction).  Realness,
+    (which excludes topological in-gap edge modes by construction); a band
+    edge within 1e-3 max|E| of Re E = 0 closes it.  Realness,
     the in-gap modes and the tolerance scale are judged on ``eigenvalues``,
     the open-chain eigenvalues of the model being judged without its uniform
     damping: :func:`chain_eigenvalues` of the model, or the GBZ's own
@@ -618,16 +619,8 @@ def gap_report(gbz: GBZ, eigenvalues: np.ndarray) -> GapReport:
     """
     radius = max(float(np.max(np.abs(eigenvalues))), 1e-300)
     tol_im, tol_gap = 1e-6 * radius, 1e-3 * radius
-    re_abs = np.sort(np.abs(gbz.energies.real))
-    e0 = re_abs[0]
-    # a band edge reaching Re E = 0 is resolved only down to the local level
-    # spacing of the finite fitting chain
-    n_edge = min(8, len(re_abs) - 1)
-    # the median spacing, without np.median's import of numpy.ma
-    d = np.sort(np.diff(re_abs[:n_edge + 1]))
-    spacing = float(d[(len(d) - 1) // 2] + d[len(d) // 2]) / 2 if n_edge >= 1 else 0.0
-    gapless = e0 < max(tol_gap, 4 * spacing)
-    width = 0.0 if gapless else 2 * e0
+    e0 = np.min(np.abs(gbz.energies.real))
+    width = 0.0 if e0 < tol_gap else 2 * e0
     in_gap = int(np.sum(np.abs(eigenvalues.real) < width / 2 - tol_gap)) if width > 0 else 0
     max_im = float(np.max(np.abs(eigenvalues.imag)))
     return GapReport(width, in_gap, bool(max_im < tol_im), max_im)

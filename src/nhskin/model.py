@@ -121,10 +121,17 @@ def _hopping_blocks(model: LatticeModel):
     return tuple(np.array(block, dtype=float) for block in (h0, hp, hm))
 
 
-#: the sites of one sublattice of each chiral family's cell: every hopping
-#: joins a site of it to a site of the other, GT {1, 4} | {2, 3} and
-#: NH-SSH {1} | {2}
-_CHIRAL_SUBLATTICE = {Family.GT: (0, 3), Family.NH_SSH: (0,)}
+#: (period, sites) of sublattice A of each family: every hopping joins a
+#: site of A to one of B, GT {1, 4} | {2, 3} of a cell, NH-SSH {1} | {2}
+#: and Hatano-Nelson even | odd sites
+_SUBLATTICE = {Family.GT: (4, (0, 3)), Family.NH_SSH: (2, (0,)),
+               Family.HATANO_NELSON: (2, (0,))}
+
+
+def _sublattice_a(model: LatticeModel) -> np.ndarray:
+    """Boolean mask of the open chain's sites on sublattice A."""
+    period, sites = _SUBLATTICE[model.family]
+    return np.isin(np.arange(model.n_sites) % period, sites)
 
 
 def bloch_hamiltonian(model: LatticeModel, k: float) -> np.ndarray:

@@ -158,7 +158,7 @@ def test_evolve_matches_stepwise_propagation(model_a, n_cells, B, blocks, extra)
 
 
 def _complex_path(model, psi0, t):
-    """The propagation in complex arithmetic that chiral chains replaced:
+    """The propagation in complex arithmetic that the real gauge replaced:
     U = expm(-i H dt) in evolve's blocks (doubling, then U^B), times the
     damping envelope."""
     n = model.n_sites
@@ -237,10 +237,7 @@ def test_evolve_matches_the_complex_path_on_every_family_and_state(family, psi0)
     t = default_time_grid(4.0, fs=100.0)
     amps = evolve(m, psi0(m), t).amplitudes
     ref = _complex_path(m, psi0(m), t)
-    if family is Family.HATANO_NELSON:    # not chiral: the complex path itself
-        assert np.array_equal(amps, ref)
-    else:
-        _assert_rows_match(amps, ref, 1e-12)
+    _assert_rows_match(amps, ref, 1e-12)
 
 
 def test_growth_rate_matches_spectrum(model_b):

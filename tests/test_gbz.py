@@ -489,7 +489,7 @@ def test_branch_energies_square_to_lapack_eigenvalues(family, hops, rng):
     # fig4a and NH-SSH have edge modes near E = 0, so some E^2 = lambda is
     # below sqrt(eps) max|lambda| and the full chain is solved after C D
     (Family.GT, (2.1, 14.9, 11.2, 3.7), None, [20, 40]),
-    (Family.HATANO_NELSON, (2.5, 0.9, 1, 1), None, [40]),
+    (Family.HATANO_NELSON, (2.5, 0.9, 1, 1), None, [20]),
     (Family.NH_SSH, (1.0, 2.0, 1, 1), None, [20, 40]),
     (Family.GT, (3.2, 6.7, 22.6, 8.4), None, [20]),   # fig4e: resolved by C D alone
     # |delta| > t1: the GBZ radius is sqrt(|(t1 - delta) / (t1 + delta)|)
@@ -515,6 +515,21 @@ def test_chain_eigenvalues_in_real_arithmetic_match_complex(family, hops, delta,
     assert _matched_error(w, ref) <= 1e-10 * np.max(np.abs(ref))
     # the uniform damping is stripped: a damped model gives the same chain
     assert np.array_equal(chain_eigenvalues(m.with_(gamma=1.5)), w)
+
+
+@pytest.mark.parametrize("n,solves", [(40, [(20, 20)]), (41, [(41, 41)])])
+def test_hatano_nelson_chain_eigenvalues_match_the_exact_spectrum(n, solves, monkeypatch):
+    # E_j = 2 sqrt(t1 t2) cos(j pi / (N + 1)); an odd chain has one more site
+    # on A than on B, so it is solved at full size
+    t1, t2 = 2.5, 0.9
+    m = make_model(Family.HATANO_NELSON, t1, t2, 1, 1, n_cells=n)
+    eigvals = np.linalg.eigvals
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a.shape) or eigvals(a))
+    w = chain_eigenvalues(m)
+    assert solved == solves
+    exact = 2 * np.sqrt(t1 * t2) * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    assert _matched_error(w, exact) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_half_size_solve_matches_the_gauged_chain_at_obc_fit_length(monkeypatch):

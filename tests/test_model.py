@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nhskin import (Family, SymmetryOp, ValidationError, apply_symmetry,
                     bloch_hamiltonian, make_model, non_bloch_hamiltonian,
                     real_space_hamiltonian)
-from nhskin.model import _CHIRAL_SUBLATTICE, _hopping_blocks, non_bloch_hamiltonians
+from nhskin.model import _hopping_blocks, _sublattice_a, non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.05, max_value=30.0,
                     allow_nan=False, allow_infinity=False)
@@ -145,13 +145,17 @@ def test_undamped_hatano_nelson_chain_has_a_zero_diagonal():
     assert np.all(np.diag(real_space_hamiltonian(m)) == 0)
 
 
-@pytest.mark.parametrize("family", list(_CHIRAL_SUBLATTICE))
-def test_chiral_chain_is_zero_within_each_sublattice(family):
-    # what the half-size solve E^2 = eig(C D) of chain_eigenvalues rests on
-    m = make_model(family, T1, T2, T3, T4, n_cells=5, nhssh_delta=DELTA)
-    a = np.isin(np.arange(m.n_sites) % m.sites_per_cell, _CHIRAL_SUBLATTICE[family])
+@pytest.mark.parametrize("family,n_cells", [
+    (Family.GT, 5), (Family.NH_SSH, 5), (Family.HATANO_NELSON, 6), (Family.HATANO_NELSON, 5),
+], ids=["GT", "NHSSH", "HatanoNelson", "HatanoNelson-odd"])
+def test_chiral_chain_is_zero_within_each_sublattice(family, n_cells):
+    # what the real-gauge propagator and the half-size solve E^2 = eig(C D)
+    # of chain_eigenvalues rest on; an odd Hatano-Nelson chain has one more
+    # site on A than on B
+    m = make_model(family, T1, T2, T3, T4, n_cells=n_cells, nhssh_delta=DELTA)
+    a = _sublattice_a(m)
     H = real_space_hamiltonian(m)
-    assert a.sum() == m.n_sites // 2
+    assert a.sum() == (m.n_sites + 1) // 2
     assert np.all(H[a][:, a] == 0) and np.all(H[~a][:, ~a] == 0)
     assert np.count_nonzero(H[a][:, ~a]) and np.count_nonzero(H[~a][:, a])
 
