@@ -17,8 +17,7 @@ import numpy as np
 
 from .dynamics import EnergyTrace, WaveField, _blocks, poke_state
 from .errors import NumericalError, ValidationError
-from .gbz import (GBZ, Direction, GbzMethod, SkinDirection, gap_report,
-                  gbz_compute, skin_direction)
+from .gbz import GBZ, Direction, GbzMethod, gap_report, gbz_compute, skin_direction
 from .model import Family, LatticeModel, make_model, non_bloch_hamiltonians
 from .spectral import Spectrum, eig_biorthogonal, obc_spectrum
 
@@ -36,12 +35,12 @@ class Phase(str, Enum):
 
 @dataclass(frozen=True)
 class PhaseLabel:
-    """Classification of one parameter point with its evidence."""
+    """Classification of one parameter point: the label and the largest
+    |Im E| of its open chain (0 on the Hermitian line, NaN at a Boundary
+    point next to it), the two values the phase diagram writes."""
 
     label: Phase
     max_abs_im: float
-    line_gap: float
-    direction: SkinDirection | None
 
 
 @dataclass(frozen=True)
@@ -177,16 +176,15 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0) -> PhaseLabel
     if model.family is not Family.GT:
         raise ValidationError("phase classification is defined for the double chain")
     if model.is_hermitian:
-        return PhaseLabel(Phase.HERMITIAN_LINE, 0.0, _hermitian_gap(model), None)
+        return PhaseLabel(Phase.HERMITIAN_LINE, 0.0)
     if abs(model.t3 - model.t4) < boundary_tol:
-        return PhaseLabel(Phase.BOUNDARY, np.nan, np.nan, None)
+        return PhaseLabel(Phase.BOUNDARY, np.nan)
     g = gbz_compute(model, GbzMethod.OBC_FIT, n_sites=model.n_sites)
     report = gap_report(g, g.chain_eigenvalues)
     sd = skin_direction(g)
     if sd.direction is Direction.NONE:
         # no skin direction despite non-Hermiticity
-        return PhaseLabel(Phase.BOUNDARY, report.max_abs_im,
-                          report.line_gap_width, sd)
+        return PhaseLabel(Phase.BOUNDARY, report.max_abs_im)
     if report.is_real_spectrum:
         base = Phase.C
     elif report.line_gap_width > 0:
@@ -195,14 +193,7 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0) -> PhaseLabel
         base = Phase.B
     if sd.direction is Direction.RIGHT:
         base = Phase(base.value + "prime")
-    return PhaseLabel(base, report.max_abs_im, report.line_gap_width, sd)
-
-
-def _hermitian_gap(model: LatticeModel) -> float:
-    """Line gap of a Hermitian model from a dense Bloch sweep."""
-    ks = np.linspace(-np.pi, np.pi, 401)
-    e = np.linalg.eigvalsh(non_bloch_hamiltonians(model, np.exp(1j * ks)))
-    return 2 * float(np.min(np.abs(e)))
+    return PhaseLabel(base, report.max_abs_im)
 
 
 def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),

@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, NhskinError) as exc:
+    except NhskinError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

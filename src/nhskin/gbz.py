@@ -237,12 +237,10 @@ def _polish(coeffs: np.ndarray, x: np.ndarray, max_steps: int = 40) -> np.ndarra
 
 
 def _roots_many(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a batch of polynomials of degree 1, 2 or 4 in closed form,
+    """Roots of a batch of polynomials of degree 2 or 4 in closed form,
     each row sorted by ascending modulus, ties by argument."""
     d = coeffs.shape[1] - 1
-    if d == 1:
-        roots = -coeffs[:, :1] / coeffs[:, 1:]
-    elif d == 2:
+    if d == 2:
         monic = coeffs / coeffs[:, 2:]
         roots = np.stack(_quadratic_roots(monic[:, 1], monic[:, 0]), axis=1)
     elif d == 4:
@@ -262,7 +260,7 @@ def charpoly_beta_roots(model: LatticeModel, E: complex) -> np.ndarray:
 
 def _middle_roots(coeffs: np.ndarray):
     """The two middle-modulus roots of each row of ``coeffs`` (ascending),
-    the smaller one first; the one root of a linear row twice."""
+    the smaller one first."""
     roots = _roots_many(coeffs)
     d = roots.shape[1]
     return roots[:, d // 2 - 1], roots[:, d // 2]

@@ -6,8 +6,8 @@ right ones, so <phi_L,i | phi_R,j> = delta_ij holds to the accuracy of that
 one solve.  Near-exceptional matrices (ill-conditioned eigenvector basis)
 are flagged rather than rejected.  The open chain is solved real and
 undamped in the gauge of ``gbz.chain_eigenvalues``; the periodic spectrum
-is the Bloch eigenvalues of one stacked ``eigvals``.  Every spectrum is in
-:func:`mode_order`.
+is the closed-form cell energies of ``gbz._cell_energy_sets`` on the unit
+circle, with no eigensolve.  Every spectrum is in :func:`mode_order`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gbz import _gauged_blocks
-from .model import LatticeModel, _open_chain, non_bloch_hamiltonians
+from .gbz import _cell_energy_sets, _gauged_blocks
+from .model import LatticeModel, _open_chain
 
 #: eigenvector-matrix condition number above which a spectrum is flagged
 NEAR_EXCEPTIONAL_COND = 1e8
@@ -94,12 +94,12 @@ def obc_spectrum(model: LatticeModel) -> Spectrum:
 
 
 def pbc_spectrum(model: LatticeModel, n_k: int = 50) -> np.ndarray:
-    """Union of Bloch eigenvalues over k = 2*pi*m/n_k, shifted by -i*gamma, in mode order."""
+    """Union of Bloch eigenvalues over k = 2*pi*m/n_k, shifted by -i*gamma, in
+    mode order: the closed-form cell energies at beta = e^{ik}."""
     if n_k < 1:
         raise ValidationError("n_k must be >= 1")
     k = 2 * np.pi * np.arange(n_k) / n_k
-    H = non_bloch_hamiltonians(model, np.exp(1j * k))
-    w = np.linalg.eigvals(H).ravel() - 1j * model.gamma
+    w = _cell_energy_sets(model, np.exp(1j * k)).ravel() - 1j * model.gamma
     return w[mode_order(w)]
 
 

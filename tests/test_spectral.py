@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhskin.spectral as spectral_mod
-from nhskin import (Family, NumericalError, ValidationError, eig_biorthogonal, gbz_compute,
-                    make_model, obc_spectrum, pair_with_negated_conjugate, pbc_spectrum,
-                    real_space_hamiltonian)
+from nhskin import (Family, NumericalError, Phase, ValidationError, classify_phase,
+                    eig_biorthogonal, gbz_compute, make_model, obc_spectrum,
+                    pair_with_negated_conjugate, pbc_spectrum, real_space_hamiltonian)
 from nhskin.gbz import chain_eigenvalues
 from nhskin.model import _hopping_blocks, non_bloch_hamiltonians
 from nhskin.spectral import NEAR_EXCEPTIONAL_COND, multiset_distance
@@ -89,7 +89,9 @@ def test_pbc_spectrum_matches_real_space(model_b):
     make_model(Family.GT, 3.2, 6.7, 22.6, 8.4, gamma=4.4),
     make_model(Family.GT, 2.1, 14.9, 12.6, 8.9, gamma=2.5),
     make_model(Family.HATANO_NELSON, 1.7, 0.4, 1, 1, gamma=0.3),
-    make_model(Family.NH_SSH, 1.0, 2.0, 1, 1)], ids=["fig4a", "fig4e", "fig4i", "hn", "nhssh"])
+    make_model(Family.NH_SSH, 1.0, 2.0, 1, 1),
+    make_model(Family.GT, 1.0, 2.0, 3.0, 3.0)],
+    ids=["fig4a", "fig4e", "fig4i", "hn", "nhssh", "hermitian"])
 def test_pbc_spectrum_is_the_union_of_the_cell_spectra(model, n_k):
     """The eigenvalues of every Bloch cell, each solved on its own, shifted
     by -i*gamma."""
@@ -98,6 +100,21 @@ def test_pbc_spectrum_is_the_union_of_the_cell_spectra(model, n_k):
              for kk in k]
     expected = np.ravel(cells) - 1j * model.gamma
     assert multiset_distance(pbc_spectrum(model, n_k=n_k), expected) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_no_cell_eigensolve_for_eigenvalues_alone(monkeypatch):
+    """The Bloch spectrum of every family and the label of a Hermitian-line
+    point come from closed forms: no LAPACK eigensolve runs for them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolve called")
+
+    for name in ("eig", "eigvals", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for family in Family:
+        m = make_model(family, 1.3, 0.7, 2.0, 0.5)
+        assert len(pbc_spectrum(m, n_k=8)) == 8 * m.sites_per_cell
+    label = classify_phase(make_model(Family.GT, 1.0, 2.0, 3.0, 3.0, n_cells=25))
+    assert label.label is Phase.HERMITIAN_LINE
 
 
 def test_pbc_spectrum_holds_no_bloch_waves():
