@@ -164,6 +164,16 @@ def obc_decomposition(field: WaveField) -> ModeDecomposition:
     return ModeDecomposition(field.times, D, spectrum)
 
 
+def _mx_label(phase: Phase) -> Phase:
+    """The label of a point's Mx image (t3 <-> t4): the skin direction
+    flips, so a label and its primed partner swap."""
+    if phase in (Phase.HERMITIAN_LINE, Phase.BOUNDARY):
+        return phase
+    if phase.value.endswith("prime"):
+        return Phase(phase.value.removesuffix("prime"))
+    return Phase(phase.value + "prime")
+
+
 def classify_phase(model: LatticeModel, boundary_tol: float = 0.0) -> PhaseLabel:
     """Dynamic-phase label of a double-chain model at zero damping.
 
@@ -192,7 +202,7 @@ def classify_phase(model: LatticeModel, boundary_tol: float = 0.0) -> PhaseLabel
     else:
         base = Phase.B
     if sd.direction is Direction.RIGHT:
-        base = Phase(base.value + "prime")
+        base = _mx_label(base)
     return PhaseLabel(base, report.max_abs_im)
 
 
@@ -202,23 +212,33 @@ def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),
     """Classify every point of a (t3, t4) grid.
 
     Points closer to the Hermitian line than half a grid step are labeled
-    Boundary.
+    Boundary.  Mx (t3 <-> t4) leaves the open-chain spectrum unchanged and
+    swaps the primed labels, so each Mx pair is solved once: the first
+    point of a pair in scan order is classified, and its partner (t4, t3),
+    wherever the grid holds exactly those values, takes the swapped label
+    and the same max|Im E|.
     """
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")
     t3s = np.linspace(*t3_range, resolution)
     t4s = np.linspace(*t4_range, resolution)
-    step = max(t3s[1] - t3s[0], t4s[1] - t4s[0])
+    step = max(abs(t3s[1] - t3s[0]), abs(t4s[1] - t4s[0]))
+    column = {t: i3 for i3, t in enumerate(t3s.tolist())}
+    row = {t: i4 for i4, t in enumerate(t4s.tolist())}
     labels = np.empty((resolution, resolution), dtype=object)
-    im_mag = np.zeros((resolution, resolution))
 
     for i4 in range(resolution):
         for i3 in range(resolution):
+            if labels[i4, i3] is not None:
+                continue
             m = make_model(Family.GT, t1, t2, t3s[i3], t4s[i4], n_cells=n_cells)
             lab = classify_phase(m, boundary_tol=step / 2)
             labels[i4, i3] = lab
-            im_mag[i4, i3] = lab.max_abs_im if np.isfinite(lab.max_abs_im) else 0.0
-    return PhaseDiagram(t3s, t4s, labels, im_mag)
+            j4, j3 = row.get(t3s[i3]), column.get(t4s[i4])
+            if j4 is not None and j3 is not None and labels[j4, j3] is None:
+                labels[j4, j3] = PhaseLabel(_mx_label(lab.label), lab.max_abs_im)
+    im_mag = np.array([lab.max_abs_im for lab in labels.ravel()]).reshape(labels.shape)
+    return PhaseDiagram(t3s, t4s, labels, np.where(np.isfinite(im_mag), im_mag, 0.0))
 
 
 def growth_rate(trace: EnergyTrace, fit_fraction: float = 0.25) -> float:

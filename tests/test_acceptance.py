@@ -170,9 +170,16 @@ def test_criterion_8_phase_diagram(_verdict_printer):
             Phase.BOUNDARY: Phase.BOUNDARY}
     sym_ok = all(d.labels[i, j].label is swap[d.labels[j, i].label]
                  for i in range(9) for j in range(9))
-    ok = points_ok and sym_ok
+    # the scan solves the upper half and mirrors it: the lower half against
+    # a direct classification of each of its points
+    step = d.t3_grid[1] - d.t3_grid[0]
+    mirror_ok = all(
+        classify_phase(make_model(Family.GT, 1, 2, d.t3_grid[j], d.t4_grid[i], n_cells=25),
+                       boundary_tol=step / 2).label is d.labels[i, j].label
+        for i in range(9) for j in range(i))
+    ok = points_ok and sym_ok and mirror_ok
     _report(_verdict_printer, 8, ok, "marked points -> HermitianLine/B/C; 9x9 scan symmetric "
-            "under t3 <-> t4 with primed exchange")
+            "under t3 <-> t4 with primed exchange; mirrored half = direct classification")
 
 
 def test_criterion_9_decomposition_convergence(_verdict_printer):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from nhskin import (PATH1, PATH2, Direction, Family, Phase, SymmetryOp,
-                    ValidationError, apply_symmetry, classify_phase,
+                    ValidationError, apply_symmetry, chain_eigenvalues, classify_phase,
                     default_time_grid, energy_trace, evolve, gap_report,
                     GbzMethod, gbz_compute, growth_rate, laplace_projection,
                     make_model, non_bloch_hamiltonian, obc_decomposition,
                     obc_spectrum, poke_state, scan_phase_diagram,
                     skin_direction, transition_sweep)
+from nhskin import analysis
 from nhskin.dynamics import WaveField
 from nhskin.spectral import eig_biorthogonal
 
@@ -207,11 +208,13 @@ def test_scan_small_grid_symmetry():
 
 
 def test_scan_diagonalizes_each_chain_once(monkeypatch):
-    """The GBZ fit and the gap report of a phase point share one open-chain
-    solve: a real half-size eigensolve of C D, then a real full-size one
-    only where some E^2 = lambda lies below sqrt(eps) max|lambda|.  The
-    shared eigenvalues give the labels and magnitudes the report computes
-    on its own, bit for bit."""
+    """Each Mx pair of off-diagonal points is solved once, at the point
+    first in scan order: a real half-size eigensolve of C D, then a real
+    full-size one only where some E^2 = lambda lies below sqrt(eps)
+    max|lambda|.  The solved point has the label and magnitude that a direct
+    classification and the gap report compute on their own, bit for bit,
+    and its partner (t4, t3) holds the swapped label and the same
+    magnitude."""
     eigvals = np.linalg.eigvals
     solves = []
 
@@ -223,7 +226,7 @@ def test_scan_diagonalizes_each_chain_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", recording)
     d = scan_phase_diagram(1, 2, (1.0, 5.0), (1.0, 5.0), resolution=4, n_cells=8)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    off_diagonal = [(i4, i3) for i4 in range(4) for i3 in range(4) if i3 != i4]
+    solved = [(i4, i3) for i4 in range(4) for i3 in range(i4 + 1, 4)]
     expected = []
     for a, w in solves:
         if len(a) == 16:
@@ -232,15 +235,75 @@ def test_scan_diagonalizes_each_chain_once(monkeypatch):
                 expected.append(32)
     assert [len(a) for a, _ in solves] == expected
     assert all(np.isrealobj(a) for a, _ in solves)
-    assert expected.count(16) == len(off_diagonal)
+    assert expected.count(16) == len(solved) == 6
+    swaps = {Phase.A: Phase.APRIME, Phase.B: Phase.BPRIME, Phase.C: Phase.CPRIME}
+    swaps.update({v: k for k, v in swaps.items()})
     step = max(d.t3_grid[1] - d.t3_grid[0], d.t4_grid[1] - d.t4_grid[0])
-    for i4, i3 in off_diagonal:
+    for i4, i3 in solved:
         m = make_model(Family.GT, 1, 2, d.t3_grid[i3], d.t4_grid[i4], n_cells=8)
         g = gbz_compute(m, n_sites=m.n_sites)
         rep = gap_report(g, g.chain_eigenvalues)
         assert d.labels[i4, i3].max_abs_im == rep.max_abs_im
         assert d.labels[i4, i3] == classify_phase(m, boundary_tol=step / 2)
         assert d.im_magnitude[i4, i3] == rep.max_abs_im
+        mirrored = d.labels[i3, i4]
+        assert mirrored.label is swaps[d.labels[i4, i3].label]
+        assert mirrored.max_abs_im == rep.max_abs_im
+        assert d.im_magnitude[i3, i4] == rep.max_abs_im
+
+
+def test_scan_without_mirror_partners_classifies_every_point(monkeypatch):
+    """On a grid whose axes share no value no point finds its Mx partner:
+    every point is classified on its own, as a direct call classifies it."""
+    classify = analysis.classify_phase
+    points = []
+
+    def recording(m, boundary_tol=0.0):
+        points.append((m.t3, m.t4))
+        return classify(m, boundary_tol)
+
+    monkeypatch.setattr(analysis, "classify_phase", recording)
+    d = scan_phase_diagram(1, 2, (1.0, 5.0), (1.1, 5.1), resolution=4, n_cells=8)
+    monkeypatch.setattr(analysis, "classify_phase", classify)
+    assert sorted(points) == sorted((t3, t4) for t4 in d.t4_grid for t3 in d.t3_grid)
+    step = max(d.t3_grid[1] - d.t3_grid[0], d.t4_grid[1] - d.t4_grid[0])
+    for i4 in range(4):
+        for i3 in range(4):
+            m = make_model(Family.GT, 1, 2, d.t3_grid[i3], d.t4_grid[i4], n_cells=8)
+            direct = classify_phase(m, boundary_tol=step / 2)
+            lab = d.labels[i4, i3]
+            np.testing.assert_equal((lab.label, lab.max_abs_im),
+                                    (direct.label, direct.max_abs_im))
+
+
+def test_scan_descending_grid_gives_the_reversed_labels():
+    """A grid scanned high to low keeps its Boundary band next to t3 = t4:
+    the band's half-width is half a grid step, a distance."""
+    d = scan_phase_diagram(1, 2, (1.0, 5.0), (1.1, 5.1), resolution=9, n_cells=10)
+    r = scan_phase_diagram(1, 2, (5.0, 1.0), (5.1, 1.1), resolution=9, n_cells=10)
+    labels = [[lab.label for lab in row] for row in d.labels]
+    assert sum(row.count(Phase.BOUNDARY) for row in labels) == 9
+    assert [[lab.label for lab in row[::-1]] for row in r.labels[::-1]] == labels
+
+
+def test_classify_phase_mirrors_on_the_scan_grid():
+    """The evidence for the scan's mirrored half: classified directly at
+    (t3, t4) and at (t4, t3), every off-diagonal point of the 16 x 16 fig3d
+    grid at 25 cells swaps its label exactly, and max|Im E| agrees within
+    1e-9 max|E| (measured: at most 2.2e-11 max|E|, the conditioning of the
+    non-normal solve)."""
+    swaps = {Phase.A: Phase.APRIME, Phase.B: Phase.BPRIME, Phase.C: Phase.CPRIME,
+             Phase.BOUNDARY: Phase.BOUNDARY}
+    swaps.update({v: k for k, v in swaps.items()})
+    grid = np.linspace(0.2, 6.0, 16)
+    for i4 in range(16):
+        for i3 in range(i4 + 1, 16):
+            m = make_model(Family.GT, 1, 2, grid[i3], grid[i4], n_cells=25)
+            lab = classify_phase(m)
+            mirrored = classify_phase(apply_symmetry(m, SymmetryOp.MX))
+            assert mirrored.label is swaps[lab.label], (grid[i3], grid[i4])
+            scale = np.abs(chain_eigenvalues(m)).max()
+            assert abs(mirrored.max_abs_im - lab.max_abs_im) <= 1e-9 * scale
 
 
 #: the fig3d grid points (i4, i3) whose 50-cell labels broke the mirror
