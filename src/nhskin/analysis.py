@@ -241,12 +241,14 @@ def scan_phase_diagram(t1: float, t2: float, t3_range=(0.2, 6.0),
     return PhaseDiagram(t3s, t4s, labels, np.where(np.isfinite(im_mag), im_mag, 0.0))
 
 
-def growth_rate(trace: EnergyTrace, fit_fraction: float = 0.25) -> float:
-    """Least-squares slope of log P over the last ``fit_fraction`` of time."""
-    if not 0 < fit_fraction <= 1:
-        raise ValidationError("fit_fraction must be in (0, 1]")
+def growth_rate(trace: EnergyTrace) -> float:
+    """Least-squares slope of log P over the last quarter of the samples,
+    which must hold at least 2 of them."""
     n = len(trace.times)
-    start = int(np.floor(n * (1 - fit_fraction)))
+    start = int(np.floor(n * 0.75))
+    if n - start < 2:
+        raise ValidationError(f"growth-rate fit needs 2 samples in the last quarter "
+                              f"of the time grid, which has {n - start} of {n}")
     t = trace.times[start:]
     P = trace.P[start:]
     if np.any(P <= 0):

@@ -124,9 +124,18 @@ def cmd_gbz(args, cfg) -> int:
 
 
 def _evolve_from_config(cfg, model):
+    """The poked field that the [evolve] section asks for.  A site off the
+    chain is rejected naming what set [evolve], or the default."""
     block = cfg["evolve"]
     t = default_time_grid(block["horizon"], block["fs"])
-    return evolve(model, poke_state(model, block["poke_site"]), t)
+    site = block["poke_site"]
+    try:
+        psi = poke_state(model, site)
+    except ValidationError:
+        where, default = (f"{block.where}: ", "") if block.where else ("", " (the default)")
+        raise ConfigError(f"{where}[evolve] poke_site = {site}{default} "
+                          f"is outside 1..{model.n_sites}") from None
+    return evolve(model, psi, t)
 
 
 def cmd_evolve(args, cfg) -> int:

@@ -63,7 +63,9 @@ class Direction(str, Enum):
 @dataclass(frozen=True)
 class GBZ:
     """GBZ point set: one (beta, E) entry per point, grouped into the two
-    band-pair components (0 = smaller |Re E| pair at that beta).
+    band-pair components: 1 where |Re E| exceeds the smallest |Re| of the
+    cell energies of H(beta), else 0 (always 0 for a single pair, as in the
+    Hatano-Nelson and NH-SSH models).
 
     ``model`` is the model it was computed for, damping included.
     ``chain_eigenvalues`` holds every eigenvalue of the undamped open chain
@@ -381,24 +383,6 @@ def _agbz_points(model: LatticeModel, w: np.ndarray):
     return k[keep], betas[keep], E[keep]
 
 
-def _band_pairs(model: LatticeModel, betas: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Assign each (beta, E) point to GBZ component 0 or 1.
-
-    At a given beta the cell energies split into two symmetry pairs; the
-    pair with the smaller |Re E| is component 0.  Single-pair families are
-    all component 0.
-    """
-    s = model.sites_per_cell
-    if s < 4:
-        return np.zeros(len(betas), dtype=int)
-    w = _cell_energy_sets(model, betas)
-    order = np.argsort(np.abs(w.real), axis=1)
-    w_sorted = np.take_along_axis(w, order, axis=1)
-    d_small = np.min(np.abs(w_sorted[:, :2] - energies[:, None]), axis=1)
-    d_large = np.min(np.abs(w_sorted[:, 2:] - energies[:, None]), axis=1)
-    return (d_large < d_small).astype(int)
-
-
 def _gauge_radius(model: LatticeModel) -> float:
     """Radius r of the imaginary gauge S = diag(r^x) that brings the open
     chain's GBZ near the unit circle.  For the double chain it is the
@@ -504,7 +488,9 @@ def gbz_compute(model: LatticeModel, method=GbzMethod.OBC_FIT, n_sites: int = 16
         chain_eigenvalues = None
     if len(betas) == 0:
         raise ValidationError("no GBZ points found")
-    band_pair = _band_pairs(model, betas, energies)
+    # the double chain's two pairs (E, -E*) at a beta differ in |Re E|
+    w = _cell_energy_sets(model, betas)
+    band_pair = (np.abs(energies.real) > np.abs(w.real).min(axis=1)).astype(int)
     out = GBZ(betas, energies, band_pair, model, chain_eigenvalues)
     if cross_check:
         ref = (out if method is GbzMethod.OBC_FIT

@@ -11,7 +11,7 @@ from nhskin import (PATH1, PATH2, Direction, Family, Phase, SymmetryOp,
                     obc_spectrum, poke_state, scan_phase_diagram,
                     skin_direction, transition_sweep)
 from nhskin import analysis
-from nhskin.dynamics import WaveField
+from nhskin.dynamics import EnergyTrace, WaveField
 from nhskin.spectral import eig_biorthogonal
 
 
@@ -382,7 +382,10 @@ def test_growth_rate_tracks_spectrum_on_fig5i_beat():
     assert sweep.growth_rates[0] == pytest.approx(target, rel=0.02)
 
 
-def test_growth_rate_rejects_bad_window(field_a):
-    tr = energy_trace(field_a)
-    with pytest.raises(ValidationError):
-        growth_rate(tr, fit_fraction=0.0)
+def test_growth_rate_rejects_bad_window():
+    """The last quarter of 4 or fewer samples is one sample: no line to fit.
+    5 samples leave 2, and a constant trace has slope 0."""
+    for n in (1, 2, 4):
+        with pytest.raises(ValidationError, match=f"which has 1 of {n}"):
+            growth_rate(EnergyTrace(np.arange(n) / 500.0, np.ones(n)))
+    assert growth_rate(EnergyTrace(np.arange(5) / 500.0, np.ones(5))) == 0.0

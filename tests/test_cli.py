@@ -388,11 +388,23 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
      "bad.cfg:1: [gbz] n_sites = 12 must be a multiple of 4 and >= 16"),
     ("project", "[gbz]\nn_sites = 12\n",
      "bad.cfg:1: [gbz] n_sites = 12 must be a multiple of 4 and >= 16"),
+    # the bound is the chain's site count; unset, the default 20 is named
+    ("evolve", "[evolve]\npoke_site = 41\n",
+     "bad.cfg:1: [evolve] poke_site = 41 is outside 1..40"),
+    ("project", "[evolve]\npoke_site = 41\n",
+     "bad.cfg:1: [evolve] poke_site = 41 is outside 1..40"),
+    ("evolve", "[model]\nfamily = HatanoNelson\n",
+     "config error: [evolve] poke_site = 20 (the default) is outside 1..10"),
+    # 2 samples at 500 Hz leave 1 in the growth-rate fit window
+    ("sweep", "[sweep]\nhorizon = 0.003\nsamples = 2\n",
+     "growth-rate fit needs 2 samples in the last quarter of the time grid, "
+     "which has 1 of 2"),
 ], ids=["n_sites", "method", "cross_check", "fs", "no_t3_min", "horizon_negative",
         "horizon_nan", "fs_zero", "cross_tol_negative", "window_below_one_sample",
         "hop_below_one_sample", "bc", "phase_diagram_n_cells_below_4",
         "model_n_cells_0", "sweep_n_cells_0", "resolution_1", "sweep_samples_1",
-        "gbz_n_sites_12", "project_n_sites_12"])
+        "gbz_n_sites_12", "project_n_sites_12", "evolve_poke_site_41",
+        "project_poke_site_41", "evolve_default_poke_site", "sweep_fit_window_1"])
 def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
                                                         text, where):
     cfg = _write(tmp_path, "bad.cfg", text)

@@ -58,6 +58,39 @@ def test_gbz_has_two_band_pair_components(model_a):
     assert len(g.component(0)) > 10 and len(g.component(1)) > 10
 
 
+def _band_pairs_by_distance(model, betas, energies):
+    """Reference labels: sort the cell energies of H(beta) by |Re E|, and
+    put a point in component 1 when its energy is nearer one of the two
+    largest than one of the two smallest; single-pair families are all 0."""
+    if model.sites_per_cell < 4:
+        return np.zeros(len(betas), dtype=int)
+    w = _cell_energy_sets(model, betas)
+    w = np.take_along_axis(w, np.argsort(np.abs(w.real), axis=1), axis=1)
+    d_small = np.min(np.abs(w[:, :2] - energies[:, None]), axis=1)
+    d_large = np.min(np.abs(w[:, 2:] - energies[:, None]), axis=1)
+    return (d_large < d_small).astype(int)
+
+
+@pytest.mark.parametrize("method", list(GbzMethod))
+def test_band_pair_labels_match_the_distance_rule(model_a, model_b, model_c, method):
+    """A point is component 1 exactly when its energy is nearer the pair of
+    larger |Re E| at its beta: on the Fig. 4 models, a Hatano-Nelson and an
+    NH-SSH chain, and 30 random double chains."""
+    single = [make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1),
+              make_model(Family.NH_SSH, 1.0, 2.0, 1, 1, nhssh_delta=1.5)]
+    rng = np.random.default_rng(2019)
+    models = [model_a, model_b, model_c, *single,
+              *(make_model(Family.GT, *rng.uniform(0.2, 6.0, 4)) for _ in range(30))]
+    labels = []
+    for m in models:
+        g = gbz_compute(m, method)
+        labels.append(g.band_pair)
+        np.testing.assert_array_equal(
+            g.band_pair, _band_pairs_by_distance(m, g.betas, g.energies))
+    assert all(set(lab) == {0, 1} for lab in labels[:3])
+    assert not np.any(np.concatenate(labels[3:5]))
+
+
 def test_touching_point_on_negative_real_axis(model_a, model_b, model_c):
     for m in (model_a, model_b, model_c):
         g = gbz_compute(m.with_(gamma=0.0, n_cells=40))
