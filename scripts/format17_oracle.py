@@ -7,11 +7,15 @@ mismatches and of values the kernel handed to ``%``, and the first
 mismatches.  The classes are random bit patterns (every float64, NaNs and
 subnormals included), values exponent-uniform over 1e+-300 of either sign,
 integers below 1e17, exact ties of the 17-digit rounding (odd m /
-2^(17-k)), random bit patterns with about half of them replaced by +-0 at
+2^(17-k)) at every k in [-6, 15], where 10^(16-k) is a double and the kernel
+proves them, random bit patterns with about half of them replaced by +-0 at
 random positions (zeros skip the kernel, so this checks the rows around
-them), and, whatever N, every power of ten from 1e-323 to 1e308 with its
-neighbours one ulp away, and the special values +-0, +-inf, NaN and the
-smallest subnormal and normal of either sign.  The run is not part of
+them), fixed notation with the point moved into the digits (1 <= k <= 16)
+and random trailing zeros (c-digit m * 10^(k+1-c) of either sign), and,
+whatever N, every power of ten from 1e-323 to 1e308 with its neighbours one
+ulp away, every tie at k = -8 and -7, where 10^(16-k) is not a double and
+the kernel hands them to ``%``, and the special values +-0, +-inf, NaN and
+the smallest subnormal and normal of either sign.  The run is not part of
 the tests; at the default N = 10^7 it takes a few minutes, nearly all of it
 in ``%``.  It exits 1 if any byte differs.
 
@@ -45,10 +49,25 @@ def _integers(rng, n):
 
 
 def _ties(rng, n):
-    k = rng.integers(-4, 12, n)
+    k = rng.integers(-6, 16, n)
     low = np.floor(10.0 ** k * 2.0 ** (17 - k)).astype(np.int64)
-    m = (low + 1 + (8 * low * rng.random(n)).astype(np.int64)) | 1    # inside the decade
+    high = np.minimum(10 * low, 2 ** 53)    # inside the decade, and m a double
+    m = (low + 1 + ((high - low - 2) * rng.random(n)).astype(np.int64)) | 1
     return m / 2.0 ** (17 - k)
+
+
+def _inexact_ties():
+    k, m = np.meshgrid([-8, -7], np.arange(1, 17, 2))
+    v = m / 2.0 ** (17 - k)
+    return v[np.floor(np.log10(v)) == k]
+
+
+def _fixed(rng, n):
+    k, c = rng.integers(1, 17, n), rng.integers(1, 18, n)
+    m = rng.integers(10 ** (c - 1), 10 ** c)    # c digits, then 17 - c zeros
+    e = k + 1 - c
+    v = np.where(e >= 0, m * 10.0 ** np.maximum(e, 0), m / 10.0 ** np.maximum(-e, 0))
+    return v * rng.choice([-1.0, 1.0], n)
 
 
 def _with_zeros(rng, n):
@@ -59,8 +78,8 @@ def _with_zeros(rng, n):
 
 
 CLASSES = {"bit patterns": _bits, "exp-uniform 1e+-300": _spread,
-           "integers < 1e17": _integers, "17-digit ties": _ties,
-           "bit patterns with +-0": _with_zeros}
+           "integers < 1e17": _integers, "exact-power ties": _ties,
+           "bit patterns with +-0": _with_zeros, "fixed 1<=k<=16, zeros": _fixed}
 
 
 def compare(values):
@@ -83,6 +102,7 @@ def main(argv=None) -> int:
             for name, make in CLASSES.items()]
     work.append(("powers of ten +-1 ulp", [np.concatenate(
         [p10, np.nextafter(p10, 0.0), np.nextafter(p10, np.inf)])]))
+    work.append(("inexact-power ties", [np.concatenate([_inexact_ties(), -_inexact_ties()])]))
     special = np.array([0.0, np.inf, np.nan, 5e-324, np.finfo(float).tiny])
     work.append(("+-0, +-inf, nan, minima", [np.concatenate([special, -special])]))
     total = 0

@@ -90,14 +90,22 @@ def cmd_spectrum(args, cfg) -> int:
     return 0
 
 
+def _blame(block, key: str) -> tuple[str, str]:
+    """``("file:line: ", "")`` naming the section header (or preset) that set
+    ``key``, or ``("", " (the default)")`` when no layer set it."""
+    where = block.set_by.get(key)
+    return (f"{where}: ", "") if where else ("", " (the default)")
+
+
 def _gbz_from_config(cfg, model):
     """The GBZ that the [gbz] section asks for.  A chain length that the
-    model's family cannot fit is rejected first, naming what set [gbz]."""
+    model's family cannot fit is rejected first, naming what set it."""
     block = cfg["gbz"]
     try:
         _check_n_sites(model, block["n_sites"])
     except ValidationError as exc:
-        raise ConfigError(f"{block.where}: [gbz] {exc}") from None
+        where, _ = _blame(block, "n_sites")
+        raise ConfigError(f"{where}[gbz] {exc}") from None
     return gbz_compute(model, **block)
 
 
@@ -123,24 +131,25 @@ def cmd_gbz(args, cfg) -> int:
     return 0
 
 
-def _evolve_from_config(cfg, model):
-    """The poked field that the [evolve] section asks for.  A site off the
-    chain is rejected naming what set [evolve], or the default."""
+def _poke_from_config(cfg, model):
+    """The poked state and the time grid that the [evolve] section asks for,
+    as the arguments of ``evolve`` after the model.  A site off the chain is
+    rejected naming what set it, or the default."""
     block = cfg["evolve"]
     t = default_time_grid(block["horizon"], block["fs"])
     site = block["poke_site"]
     try:
         psi = poke_state(model, site)
     except ValidationError:
-        where, default = (f"{block.where}: ", "") if block.where else ("", " (the default)")
+        where, default = _blame(block, "poke_site")
         raise ConfigError(f"{where}[evolve] poke_site = {site}{default} "
                           f"is outside 1..{model.n_sites}") from None
-    return evolve(model, psi, t)
+    return psi, t
 
 
 def cmd_evolve(args, cfg) -> int:
     model = nio.model_from_config(cfg)
-    field = _evolve_from_config(cfg, model)
+    field = evolve(model, *_poke_from_config(cfg, model))
     # site-1 spectrogram of the synthesized carrier signal, computed before
     # any write so that a rejected window or hop leaves no artifact behind
     fs = cfg["evolve"]["fs"]
@@ -172,8 +181,10 @@ def cmd_evolve(args, cfg) -> int:
 
 def cmd_project(args, cfg) -> int:
     model = nio.model_from_config(cfg)
-    g = _gbz_from_config(cfg, model)    # first: a rejected [gbz] wastes no propagation
-    field = _evolve_from_config(cfg, model)
+    # both sections are checked before the GBZ solve and the propagation
+    poke = _poke_from_config(cfg, model)
+    g = _gbz_from_config(cfg, model)
+    field = evolve(model, *poke)
     # decimate both coefficient sets to about 200 output times, keeping the
     # last one, which picks the dominant late mode
     last = len(field.times) - 1

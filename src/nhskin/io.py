@@ -4,14 +4,18 @@ CSV uses 17-significant-digit decimals so that every float round-trips
 bit-exactly.  Every CSV writer goes through one row writer and one float
 formatter: an exact vectorized kernel for ``"%.17g" % v`` on Dekker's exact
 product (Numer. Math. 18, 224 (1971)), which hands the rare value it cannot
-prove to ``%``; zeros skip the kernel and are written as "0" or "-0".  Each
-column of a block becomes NUL-padded byte rows (floats from the kernel,
-ASCII labels as fixed-width strings), and the block is joined into the bytes
-``csv.writer`` would give.  Columns written many times (a grid's outer
-values and inner labels, the sweep's shared time grid, the phase diagram's
-axes) are formatted once and packed to their widest field before they are
-repeated or tiled.  Tables are written in blocks of about 4k rows so memory
-stays flat.
+prove to ``%``; zeros skip the kernel and are written as "0" or "-0".  The
+kernel writes each float as one 32-byte row of four uint64 words, the digits
+placed by word arithmetic rather than one slot per digit, as in the
+fixed-precision printing of Ryu printf (Adams, PLDI 2019): a table gives the
+ASCII of each 4-digit group, a shift of the row by one byte places the point
+inside the digits, and one AND drops the trailing zeros.  Each column of a
+block becomes NUL-padded byte rows (floats from the kernel, ASCII labels as
+fixed-width strings), and the block is joined into the bytes ``csv.writer``
+would give.  Columns written many times (a grid's outer values and inner
+labels, the sweep's shared time grid, the phase diagram's axes) are
+formatted once and packed to their widest field before they are repeated or
+tiled.  Tables are written in blocks of about 8k rows so memory stays flat.
 Wavefield ``.npz`` files are stored uncompressed, because ``zlib`` saves
 only about 3% on these complex arrays.
 SVG output is generated directly (no plotting dependency); a heatmap's
@@ -39,9 +43,10 @@ from .model import Family, LatticeModel, make_model
 
 FLOAT_FMT = "%.17g"
 #: Rows the writers format and write at a time, so that the bytes held
-#: in memory stay bounded however large the array is; at 16384 rows the
-#: blocks of ``project``'s coefficient tables raise its peak RSS by ~4 MiB.
-_BLOCK_ROWS = 4096
+#: in memory stay bounded however large the array is.  A float is a 32-byte
+#: row, so ``project --preset fig4a`` peaks at 52.8 MiB (VmHWM) with blocks
+#: of 8192 rows, as with 4096; blocks of 16384 rows raise it to 56.0 MiB.
+_BLOCK_ROWS = 8192
 
 
 # ---------------------------------------------------------------- CSV core
@@ -109,57 +114,86 @@ def _grid_blocks(outer, inner, *values):
                *(_column(v[i:i + step]) for v in values)]
 
 
-#: Dekker's splitter 2^27 + 1 and the smallest exponent of the 10^j table
-_SPLIT, _J0 = 134217729.0, -232
+#: Dekker's splitter 2^27 + 1, and the smallest and largest decimal exponent
+#: k of the tables indexed by k (at ``k - _K0``)
+_SPLIT, _K0, _K1 = 134217729.0, -248, 248
 
 
 @functools.cache
-def _format_tables():
-    """10^j = hi + lo for j = -232..264 (int / int rounds correctly) as rows
-    (hi, hi's Dekker halves, lo); the ASCII digits of every 4-digit group,
-    each followed by a point slot, as one uint64; the trailing zeros of each
-    group; the bytes "e+XXX" of every exponent from -999 to 999; and the
-    kept bytes (0 or 255) of a :func:`_nonzero17` row by layout and last
-    nonzero digit."""
-    pows = [(10 ** max(j, 0), 10 ** max(-j, 0)) for j in range(_J0, 265)]
+def _pow10() -> np.ndarray:
+    """10^(16-k) = hi + lo for every k of the tables (int / int rounds
+    correctly), as rows (hi, hi's Dekker halves, lo)."""
+    pows = [(10 ** max(j, 0), 10 ** max(-j, 0)) for j in range(16 - _K0, 15 - _K1, -1)]
     hi = np.array([num / den for num, den in pows])
     lo = np.array([(num * d - n * den) / (den * d)
                    for (num, den), (n, d) in zip(pows, map(float.as_integer_ratio, hi))])
     hh = _SPLIT * hi - (_SPLIT * hi - hi)
-    pow10 = np.stack([hi, hh, hi - hh, lo], axis=1)
-    digits4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-    dotted4 = np.full((10000, 8), ord("."), np.uint8)
-    dotted4[:, ::2] = digits4
-    zeros4 = np.cumprod(digits4[:, ::-1] == ord("0"), axis=1).sum(axis=1).astype(np.int8)
-    k = np.arange(-999, 1000)
-    exps = np.c_[np.full(len(k), ord("e")), np.where(k < 0, ord("-"), ord("+")),
-                 digits4[np.abs(k), 1:]].astype(np.uint8)
-    q = np.arange(21)    # digit q of "0000" + the 17 digits
-    e = np.r_[-4:17, 0, 0][:, None, None]    # fixed at exponent -4..16, then e+XX, e+XXX
-    last = np.arange(4, 21)[:, None]
-    keep = np.zeros((23, 17, 50), bool)
-    keep[:, :, 0] = keep[:, :, 48:] = True    # the sign (NUL or "-") and the end
-    keep[:, :, 1:43:2] = (q >= 4 + np.minimum(e, 0)) & ((q <= 4 + e) | (q <= last))
-    keep[:, :, 2:43:2] = (q == 4 + e) & (last > 4 + e)    # the point after digit q
-    keep[21:, :, [43, 44, 46, 47]] = True
-    keep[22, :, 45] = True
-    return (pow10, dotted4.view(np.uint64).ravel(), zeros4, exps,
-            keep.reshape(-1, 50) * np.uint8(255))
+    return np.stack([hi, hh, hi - hh, lo], axis=1)
+
+
+@functools.cache
+def _row_tables():
+    """The tables of a :func:`_nonzero17` row, built by array operations.
+
+    By 4-digit group: its ASCII digits as a uint64, and the position 1-4 of
+    its last nonzero digit, or -12 for the group 0000.  By 17 s + m, for the
+    row layout s and the last nonzero digit m of d1..d16 (0 when there is
+    none), 4 words each of: the bytes kept in place (255), the bytes taken
+    from the row shifted down one byte (255), and the point.  The layout s
+    is k where fixed notation moves digits ahead of the point
+    (1 <= k <= 16), and 0 elsewhere.
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)    # of 0000..9999
+    ascii4 = np.ascontiguousarray((digits + ord("0")).T).view("<u4").ravel().astype(np.uint64)
+    last4 = (np.arange(1, 5, dtype=np.int8)[:, None] * (digits != 0)).max(axis=0)
+    last4[last4 == 0] = -12
+    s, m, j = np.ogrid[:17, :17, :32]    # layout, last nonzero digit, byte of the row
+    kept = (j <= 6) | (s == 0) & (j == 7) & (m >= 1) | (j >= 8 + s) & (j <= 7 + m) | (j >= 24)
+    moved = (s >= 1) & (j >= 7) & (j <= 6 + s)
+    point = (s >= 1) & (m > s) & (j == 7 + s)
+    return ascii4, last4, *(
+        np.broadcast_to(mask, (17, 17, 32)).astype(np.uint8).reshape(289, 32).view("<u8")
+        for mask in (kept * 255, moved * 255, point * ord(".")))
+
+
+@functools.cache
+def _row_templates(end: bytes) -> np.ndarray:
+    """By k, the 4 words of a :func:`_nonzero17` row before its sign and
+    digits: the "0.000" prefix of fixed notation with k < 0, or else the
+    point slot after d0; in bytes 24-28, "e+XX" or "e-XXX" where exponential
+    notation is used (k < -4 or k > 16); and ``end`` (at most 2 bytes) in
+    bytes 29-30."""
+    k = np.arange(_K0, _K1 + 1)
+    row = np.zeros((len(k), 32), np.uint8)
+    at = np.arange(1, 6) - 5 - k[:, None]    # the byte of "0.000" in bytes 1-5
+    prefixed = ((k >= -4) & (k < 0))[:, None] & (at >= 0)
+    row[:, 1:6] = np.where(prefixed, np.frombuffer(b"0.000", np.uint8)[at.clip(0, 4)], 0)
+    row[(k >= 0) | (k < -4), 7] = ord(".")
+    exponential = (k < -4) | (k > 16)
+    row[exponential, 24] = ord("e")
+    row[exponential, 25] = np.where(k < 0, ord("-"), ord("+"))[exponential]
+    row[exponential, 26:29] = (np.abs(k)[:, None] // [100, 10, 1] % 10 + ord("0"))[exponential]
+    row[exponential & (np.abs(k) < 100), 26] = 0
+    row[:, 29:29 + len(end)] = list(end)
+    return row.view("<u8")
 
 
 def _digits17(v: np.ndarray):
     """``(D, k, proven)``: |v| * 10^(16-k), rounded half-even to an integer D
     in [10^16, 10^17), from a double-double by Dekker's exact product, and
-    whether D is proven; it is not for values that are not finite and normal
-    within 1e+-240, nor where the low part is within 1e-6 of a half-integer."""
-    pow10 = _format_tables()[0]
+    whether D is proven.  It is not for values that are not finite and normal
+    within 1e+-240.  Where 10^(16-k) is exact (k in [-6, 16]) the product is
+    exact, so a low part of exactly +-0.5 is a true tie and ``rint`` rounds it
+    half to even, as ``%`` does; at the other k, D is not proven where the
+    low part is within 1e-6 of a half-integer."""
+    pow10 = _pow10()
     a = np.abs(v)
     proven = (a >= 1e-240) & (a < 1e240)
     a = np.where(proven, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)
 
     def scaled(a, k):
-        hi, hh, hl, lo = np.take(pow10, 16 - k - _J0, axis=0).T
+        hi, hh, hl, lo = np.take(pow10, k - _K0, axis=0, mode="wrap").T
         ah = _SPLIT * a
         ah -= ah - a
         al = a - ah
@@ -178,57 +212,78 @@ def _digits17(v: np.ndarray):
             break
         k[fix] += step[fix]
         D[fix], f[fix] = scaled(a[fix], k[fix])
+    proven &= (np.abs(np.abs(f) - 0.5) >= 1e-6) | (k >= -6) & (k <= 16)
     carry = D == 10**17    # rounded up to the next power of ten
     D, k = np.where(carry, 10**16, D), k + carry
-    proven &= (np.abs(np.abs(f) - 0.5) >= 1e-6) & (D >= 10**16) & (D < 10**17)
+    proven &= (D >= 10**16) & (D < 10**17)
     return D, k, proven
 
 
 def _format17(values, end: bytes) -> np.ndarray:
-    """Each float as the bytes of ``"%.17g" % v`` and ``end``, one uint8 row
-    per value with NUL in the bytes to drop (see :func:`_nonzero17`).  Zeros
-    are written here as "0" or "-0"; only the other values go through the
-    kernel."""
+    """Each float as the bytes of ``"%.17g" % v`` and ``end``, one 32-byte
+    uint8 row per value with NUL in the bytes to drop (see
+    :func:`_nonzero17`).  Zeros are written here as "0" or "-0"; only the
+    other values go through the kernel."""
     v = np.asarray(values, dtype=float).ravel()
     zero = v == 0
     if not zero.any():
-        return _nonzero17(v, end)
-    zeros = np.zeros((2, 48 + len(end)), np.uint8)    # "0" and "-0"
-    zeros[:, 1], zeros[1, 0], zeros[:, 48:] = ord("0"), ord("-"), np.frombuffer(end, np.uint8)
-    row = np.take(zeros, np.signbit(v).view(np.int8), axis=0)
-    if not zero.all():
-        row[~zero] = _nonzero17(v[~zero], end)
-    return row
+        return _nonzero17(v, end).view(np.uint8)
+    zeros = np.zeros((2, 32), np.uint8)    # "0" and "-0"
+    zeros[:, 1], zeros[1, 0], zeros[:, 24:24 + len(end)] = ord("0"), ord("-"), list(end)
+    rows = np.concatenate([zeros.view("<u8"), _nonzero17(v[~zero], end)])
+    at = np.where(zero, np.signbit(v), np.cumsum(~zero) + 1)
+    return np.take(rows, at, axis=0).view(np.uint8)
 
 
 def _nonzero17(v: np.ndarray, end: bytes) -> np.ndarray:
-    """:func:`_format17` of nonzero floats: each row holds the sign, a digit
-    of "0000" and the 17 digits of :func:`_digits17` each followed by a
-    possible point, then 'e', sign, 3 digits and ``end`` (at most 2 bytes);
-    a value that the kernel cannot prove is handed to ``%``."""
+    """:func:`_format17` of nonzero floats, as 4 little-endian uint64 words
+    per value: word 0 holds the sign, the "0.000" prefix of fixed notation
+    with k < 0, d0 and a point slot; words 1-2 the digits d1..d16 of
+    :func:`_digits17`; word 3 the exponent and ``end`` (see
+    :func:`_row_templates`).  One AND drops the trailing zeros of the digits
+    and a point slot that no digit follows.  Fixed notation with
+    1 <= k <= 16 moves d1..dk down one byte, into the point slot, and puts
+    the point after dk.  A value that the kernel cannot prove is handed to
+    ``%``."""
     D, k, proven = _digits17(v)
-    dotted4, zeros4, exps, keep = _format_tables()[1:]
-    n, width = len(v), 48 + len(end)
-    groups = np.empty((n, 5), np.int64)    # the 4-digit groups of D, "000d" first
-    high, low = np.divmod(D, 10**8)
-    np.divmod(high, 10**4, out=(groups[:, 1], groups[:, 2]))
-    np.divmod(low, 10**4, out=(groups[:, 3], groups[:, 4]))
-    np.divmod(groups[:, 1], 10**4, out=(groups[:, 0], groups[:, 1]))
-    row = np.empty((n, width), np.uint8)
-    row[:, 0] = np.signbit(v) * np.uint8(ord("-"))
-    row[:, 1:3] = ord("0"), ord(".")
-    row[:, 3:43] = np.take(dotted4, groups).view(np.uint8).reshape(n, 40)
-    row[:, 43:48] = np.take(exps, k + 999, axis=0)
-    row[:, 48:] = np.frombuffer(end, np.uint8)
-    z = np.take(zeros4, groups[:, :0:-1])    # lowest group first; "000d" has none
-    tz = z[:, 0] + (z[:, 0] == 4) * (z[:, 1] + (z[:, 1] == 4) * (
-        z[:, 2] + (z[:, 2] == 4) * z[:, 3]))    # trailing zeros of D
-    layout = np.where((k >= -4) & (k < 17), k + 4, 21 + (np.abs(k) >= 100))
-    row &= np.take(keep[:, :width], layout * 17 + 16 - tz, axis=0)
+    ascii4, last4, kept, moved, point = _row_tables()
+    top = D // 10**8
+    low = (D - top * 10**8).astype(np.int32)    # d9..d16
+    top = top.astype(np.int32)    # d0..d8, as int32, which divides several times faster
+    lead = top // 10**8
+    high = top - lead * 10**8
+    groups = np.empty((4, len(v)), np.int32)    # d1..d16 as four 4-digit groups
+    np.floor_divide(high, 10**4, out=groups[0])
+    np.floor_divide(low, 10**4, out=groups[2])
+    np.subtract(high, groups[0] * 10**4, out=groups[1])
+    np.subtract(low, groups[2] * 10**4, out=groups[3])
+    groups = groups.astype(np.intp)
+    # m is the largest 4 j + the position of the last nonzero digit in group
+    # j; a group 0000 counts 4 j - 12 <= 0, so m = 0 when every group is 0000
+    last = np.take(last4, groups, mode="wrap") + np.array([[0], [4], [8], [12]], np.int8)
+    m = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3])).astype(np.intp)
+    digits = np.take(ascii4, groups, mode="wrap")
+    digits[1::2] <<= 32
+    row = np.take(_row_templates(end), k - _K0, axis=0, mode="wrap")
+    row[:, 0] |= (lead + ord("0")).astype(np.uint64) << 48 | np.signbit(v) * np.uint64(ord("-"))
+    row[:, 1] = digits[0] | digits[1]
+    row[:, 2] = digits[2] | digits[3]
+    fixed = np.flatnonzero((k >= 1) & (k <= 16))
+    w = np.take(row, fixed, axis=0)    # before the AND, whose masks are those of s = 0
+    row &= np.take(kept, m, axis=0, mode="wrap")
+    if len(fixed):
+        i = 17 * np.take(k, fixed) + np.take(m, fixed)
+        down = w >> 8    # the row one byte down, as one 256-bit integer
+        down[:, :3] |= w[:, 1:] << 56
+        down &= np.take(moved, i, axis=0, mode="wrap")
+        w &= np.take(kept, i, axis=0, mode="wrap")
+        w |= down
+        w |= np.take(point, i, axis=0, mode="wrap")
+        row[fixed] = w
+    text = row.view(np.uint8)
     for i in np.flatnonzero(~proven):
-        text = (FLOAT_FMT % v[i]).encode()
-        row[i, :48] = 0
-        row[i, :len(text)] = np.frombuffer(text, np.uint8)
+        text[i] = np.frombuffer((FLOAT_FMT % v[i]).encode().ljust(24, b"\0")
+                                + end.ljust(8, b"\0"), np.uint8)
     return row
 
 
@@ -481,14 +536,17 @@ CONFIG_SCHEMA = {
 
 
 class Section(dict):
-    """The typed values of one config section.  ``where`` is what set them
-    last, the ``file:line`` of the section header or a preset, or None when
-    nothing did; reading an unset key raises :class:`ConfigError` naming it."""
+    """The typed values of one config section.  ``where`` is what set the
+    section last, the ``file:line`` of its header or a preset, or None when
+    nothing did, and ``set_by`` maps each key that a layer set to that
+    layer's ``where``; reading an unset key raises :class:`ConfigError`
+    naming it."""
 
     def __init__(self, name: str, where: str | None, values=()):
         super().__init__(values)
         self.name = name
         self.where = where
+        self.set_by: dict[str, str] = {}
 
     def __missing__(self, key):
         missing = ", ".join([k for k, (_, default) in CONFIG_SCHEMA[self.name].items()
@@ -506,8 +564,10 @@ def merge_config(*layers) -> dict[str, Section]:
            for name, keys in CONFIG_SCHEMA.items()}
     for layer in layers:
         for name, section in layer.items():
+            where = getattr(section, "where", "config")
             cfg[name].update(section)
-            cfg[name].where = getattr(section, "where", "config")
+            cfg[name].where = where
+            cfg[name].set_by.update(dict.fromkeys(section, where))
     return cfg
 
 

@@ -395,6 +395,9 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
      "bad.cfg:1: [evolve] poke_site = 41 is outside 1..40"),
     ("evolve", "[model]\nfamily = HatanoNelson\n",
      "config error: [evolve] poke_site = 20 (the default) is outside 1..10"),
+    # an [evolve] section that does not set the key does not take the blame
+    ("evolve", "[model]\nfamily = HatanoNelson\n\n[evolve]\nhorizon = 1\n",
+     "config error: [evolve] poke_site = 20 (the default) is outside 1..10"),
     # 2 samples at 500 Hz leave 1 in the growth-rate fit window
     ("sweep", "[sweep]\nhorizon = 0.003\nsamples = 2\n",
      "growth-rate fit needs 2 samples in the last quarter of the time grid, "
@@ -404,15 +407,19 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
         "hop_below_one_sample", "bc", "phase_diagram_n_cells_below_4",
         "model_n_cells_0", "sweep_n_cells_0", "resolution_1", "sweep_samples_1",
         "gbz_n_sites_12", "project_n_sites_12", "evolve_poke_site_41",
-        "project_poke_site_41", "evolve_default_poke_site", "sweep_fit_window_1"])
-def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, command,
-                                                        text, where):
+        "project_poke_site_41", "evolve_default_poke_site",
+        "evolve_default_poke_site_in_set_section", "sweep_fit_window_1"])
+def test_bad_config_value_is_line_anchored_config_error(tmp_path, capsys, monkeypatch,
+                                                        command, text, where):
+    solves = []
+    monkeypatch.setattr("nhskin.cli.gbz_compute", lambda *args, **kwargs: solves.append(args))
     cfg = _write(tmp_path, "bad.cfg", text)
     out = tmp_path / "out"
     assert main([command, "--preset", "fig4a", "--config", cfg, "--out", str(out)]) == 2
     assert where in capsys.readouterr().err
-    # the run is rejected before it writes any artifact
+    # the run is rejected before it writes any artifact or solves a GBZ
     assert not out.exists() or not any(out.iterdir())
+    assert solves == []
 
 
 def test_project_runs_the_gbz_cross_check(tmp_path, capsys):

@@ -243,21 +243,76 @@ def test_format17_matches_percent_on_every_class():
     assert _kernel17(v) == _percent17(v)
 
 
-#: odd m / 2^(17 - k) in [10^k, 10^(k+1)) is a half-integer times 10^(k-16):
-#: a tie of the 17-digit rounding
-_TIES = np.array([(m + 2 * j) / 2.0 ** (17 - k) for k in range(-4, 12)
-                  for m in [(int(10.0 ** k * 2 ** (17 - k)) + 1) | 1] for j in range(3)])
+def _ties(exponents, count):
+    """Odd m / 2^(17 - k) in [10^k, 10^(k+1)): a half-integer times 10^(k-16),
+    so a tie of the 17-digit rounding, for the first ``count`` odd m."""
+    ties = np.array([(m + 2 * j) / 2.0 ** (17 - k) for k in exponents
+                     for m in [(int(10.0 ** k * 2 ** (17 - k)) + 1) | 1]
+                     for j in range(count)])
+    k = np.floor(np.log10(ties))
+    assert np.array_equal(k, np.repeat(exponents, count))
+    return ties
+
+
+#: ties where 10^(16-k) is not a double, so Dekker's product is not exact
+_INEXACT_TIES = _ties([-8, -7], 2)
 
 
 @pytest.mark.parametrize("values", [
     [np.nan, np.inf, -np.inf], [0.0, -0.0], [5e-324, -1e-310, 2.0e-308],
-    [1e-250, -1e250, 1e300, -1e-300], _TIES, -_TIES])
+    [1e-250, -1e250, 1e300, -1e-300], _INEXACT_TIES, -_INEXACT_TIES])
 def test_format17_hands_what_it_cannot_prove_to_percent(values):
     """Non-finite values, zeros, subnormals, magnitudes outside 1e+-240 and
-    exact ties are not proven, and are written with the bytes of %."""
+    ties at a k where 10^(16-k) is inexact are not proven, and are written
+    with the bytes of %."""
     v = np.asarray(values, dtype=float)
     assert not np.any(nio._digits17(v)[2])
     assert _kernel17(v) == _percent17(v)
+
+
+def test_format17_proves_ties_where_the_power_of_ten_is_exact():
+    """For k in [-6, 15], 10^(16-k) is a double, the product is exact and a
+    tie is a tie: rint rounds it half to even, as % does.  (At k = 16 a tie
+    is a half-integer above 10^16, where every double is an integer.)"""
+    ties = _ties(range(-6, 16), 3)
+    v = np.concatenate([ties, -ties])
+    assert nio._digits17(v)[2].all()
+    assert _kernel17(v) == _percent17(v)
+
+
+def _layout_values():
+    """m * 10^(k+1-c) for every decimal exponent k in [-8, 20] and digit count
+    c in 1..17: every c-digit m not ending in 0 for c <= 2, and 200 random
+    ones above."""
+    rng = np.random.default_rng(40)
+    values = []
+    for k in range(-8, 21):
+        for c in range(1, 18):
+            m = (np.arange(10 ** (c - 1), 10 ** c) if c <= 2
+                 else rng.integers(10 ** (c - 1), 10 ** c, 200))
+            values += [float(f"{x}e{k + 1 - c}") for x in m.tolist() if x % 10]
+    return np.array(values)
+
+
+def test_format17_matches_percent_in_every_row_layout():
+    """Every decimal exponent k in [-8, 20], which spans the exponential,
+    "0.000" prefix, point-after-d0 and shifted-point layouts, with every
+    count of kept digits 1..17, both signs and each end a writer uses."""
+    v = _layout_values()
+    kept = set()
+    for x in v.tolist():
+        mantissa, exponent = ("%.16e" % x).split("e")
+        kept.add((int(exponent), len(mantissa.replace(".", "").rstrip("0"))))
+    # d * 10^k for k in -7..-5 has no double within half a unit of its 17th
+    # digit, for any of the nine d, so no double has 1 digit there
+    unreachable = {(-7, 1), (-6, 1), (-5, 1)}
+    cells = {(k, c) for k in range(-8, 21) for c in range(1, 18)}
+    assert kept & cells == cells - unreachable
+    assert nio._digits17(v)[2].all()
+    for end in (",", "\r\n", "\n"):
+        for signed in (v, -v):
+            want = "".join(FLOAT_FMT % x + end for x in signed.tolist()).encode()
+            assert nio._format17(signed, end.encode()).tobytes().translate(None, b"\0") == want
 
 
 def test_format17_writes_signed_zeros_itself(monkeypatch):
