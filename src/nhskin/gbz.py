@@ -34,7 +34,12 @@ The double chain has four bands that the combined glide/time-reversal
 symmetry groups into two pairs (E, -conj(E)); each pair traces one GBZ
 component.  At real beta the four energies form a degenerate quadruple
 {+-a +- ib}, so both components cross the real axis at the same radius:
-this is the touching point, which sits on the negative real axis.
+this is the touching point, which sits on the negative real axis.  There
+the E^2 branches m +- u / sqrt(beta) meet, u = 0, at
+beta_T = -(t1 t3 + t2 t4) / (t1 t4 + t2 t3), a double root of the
+characteristic polynomial.  Where that double root is its middle root pair
+the touching point is beta_T in closed form; elsewhere, and for the
+reference models, it is found by scanning the middle-root balance.
 """
 
 from __future__ import annotations
@@ -383,17 +388,42 @@ def _agbz_points(model: LatticeModel, w: np.ndarray):
     return k[keep], betas[keep], E[keep]
 
 
+def _beta_t(model: LatticeModel) -> float:
+    """beta_T = -(t1 t3 + t2 t4) / (t1 t4 + t2 t3) of the double chain, the
+    negative real beta where the off-diagonal entry u of its E^2 branches
+    vanishes, so both branches equal m(beta_T) there."""
+    t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
+    return -(t1 * t3 + t2 * t4) / (t1 * t4 + t2 * t3)
+
+
+def _touching_point_in_regime(model: LatticeModel) -> bool:
+    """Whether beta_T is the double chain's touching point: the middle root
+    pair of det(H(beta) - E_T), E_T^2 = m(beta_T).
+
+    beta_T is a double root there (Yokomizo & Murakami, PRL 123, 066404
+    (2019)).  With Q = t1 t4 + t2 t3 the determinant factors as
+    (beta - beta_T)^2 times quadratics in s = sqrt(beta) whose roots give
+    the other two roots beta = s^2, s from t1 t2 beta_T s^2 + Q beta_T s
+    - t1 t2 = 0; beta_T is the middle pair when one of them lies strictly
+    inside |beta_T| and the other strictly outside."""
+    t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
+    bt = _beta_t(model)
+    s = _quadratic_roots(np.array([(t1 * t4 + t2 * t3) / (t1 * t2)], complex),
+                         np.array([-1 / bt], complex))
+    inner, outer = sorted(abs(x[0]) ** 2 for x in s)
+    return bool(inner < -bt < outer)
+
+
 def _gauge_radius(model: LatticeModel) -> float:
     """Radius r of the imaginary gauge S = diag(r^x) that brings the open
     chain's GBZ near the unit circle.  For the double chain it is the
-    modulus of the touching point, beta_T = -(t1 t3 + t2 t4) / (t1 t4 + t2 t3);
-    the reference models have a circular GBZ, of radius sqrt(|c_00 / c_P0|)
+    modulus of the touching point beta_T of :func:`_beta_t`; the reference
+    models have a circular GBZ, of radius sqrt(|c_00 / c_P0|)
     (|beta_1 beta_2| of the two beta roots at every E).  Where that is 0 or
     infinite (NH-SSH with |delta| = t1, a one-way bond) no gauge is taken,
     r = 1."""
     if model.family is Family.GT:
-        t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
-        return (t1 * t3 + t2 * t4) / (t1 * t4 + t2 * t3)
+        return -_beta_t(model)
     c = _charpoly_table(model)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = float(np.sqrt(abs(c[0, 0] / c[-1, 0])))
@@ -537,14 +567,14 @@ def _radial_refine_many(model: LatticeModel, betas: np.ndarray,
 def gbz_touching_point(gbz: GBZ) -> complex:
     """The beta where the two band-pair components meet.
 
-    The nearest cross-component point pair locates the meeting region; the
-    result is then refined to the first balance zero on the negative real
-    axis within a factor 3 of that pair's radius, where the symmetry
-    quadruple {+-a +- ib} makes the E^2 branches complex conjugates, so
-    their balances agree and branch 0 is refined alone: each batched
-    balance call cuts the bracketed sign change into 64 pieces, until it is
-    2e-12 wide.  Components that never approach each other, or no sign
-    change bracketed on 80 radii, raise :class:`NoTouchingPointError`.
+    The nearest cross-component point pair locates the meeting region, at
+    radius r0.  For a double chain whose beta_T (:func:`_beta_t`) is the
+    touching point (:func:`_touching_point_in_regime`) and lies within a
+    factor 3 of r0, the result is beta_T itself, exact in closed form.
+    Otherwise :func:`_touching_point_scan` refines the first balance zero on
+    the negative real axis within a factor 3 of r0.  Components that never
+    approach each other, or no sign change bracketed by the scan, raise
+    :class:`NoTouchingPointError`.
     """
     c0, c1 = gbz.component(0), gbz.component(1)
     if len(c0) == 0 or len(c1) == 0:
@@ -558,8 +588,22 @@ def gbz_touching_point(gbz: GBZ) -> complex:
         raise NoTouchingPointError(
             f"components stay {d[i, j] / scale:.3g} (relative) apart, tol {tol:g}")
     r0 = abs(c0[i] + c1[j]) / 2
+    model = gbz.model
+    if (model.family is Family.GT and r0 / 3 <= -_beta_t(model) <= r0 * 3
+            and _touching_point_in_regime(model)):
+        return complex(_beta_t(model))
+    return _touching_point_scan(model, r0)
+
+
+def _touching_point_scan(model: LatticeModel, r0: float) -> complex:
+    """The first balance zero on the negative real axis between radii r0 / 3
+    and 3 r0, where the symmetry quadruple {+-a +- ib} makes the E^2
+    branches complex conjugates, so their balances agree and branch 0 is
+    refined alone: 80 radii bracket a sign change, and each batched balance
+    call then cuts it into 64 pieces, until it is 2e-12 wide.  No sign change
+    raises :class:`NoTouchingPointError`."""
     rs = np.geomspace(r0 / 3, r0 * 3, 80)
-    g = _balance(gbz.model, -rs, 0)
+    g = _balance(model, -rs, 0)
     idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
     if len(idx) == 0:
         raise NoTouchingPointError(
@@ -568,7 +612,7 @@ def gbz_touching_point(gbz: GBZ) -> complex:
     lo, hi = rs[idx[0]], rs[idx[0] + 1]
     while hi - lo > 2e-12:
         x = np.linspace(lo, hi, 65)
-        g = _balance(gbz.model, -x, 0)
+        g = _balance(model, -x, 0)
         k = np.argmax(np.sign(g) != np.sign(g[0]))
         if g[k] == 0:
             return complex(-x[k])

@@ -15,7 +15,8 @@ fixed-width strings), and the block is joined into the bytes ``csv.writer``
 would give.  Columns written many times (a grid's outer values and inner
 labels, the sweep's shared time grid, the phase diagram's axes) are
 formatted once and packed to their widest field before they are repeated or
-tiled.  Tables are written in blocks of about 8k rows so memory stays flat.
+tiled.  Tables are written, and the kernel and the packing run, in blocks
+of about 8k rows so memory stays flat.
 Wavefield ``.npz`` files are stored uncompressed, because ``zlib`` saves
 only about 3% on these complex arrays.
 SVG output is generated directly (no plotting dependency); a heatmap's
@@ -85,11 +86,16 @@ def _write_table(path, header, blocks) -> None:
 
 def _packed(rows: np.ndarray) -> np.ndarray:
     """Byte rows (see :func:`_fields`) with their NULs dropped, left-aligned
-    and NUL-padded to the longest, for a column written many times."""
-    full = rows != 0
-    width = full.sum(axis=1)
+    and NUL-padded to the longest, for a column written many times.  The
+    masks are formed ``_BLOCK_ROWS`` rows at a time."""
+    starts = range(0, len(rows), _BLOCK_ROWS)
+    width = np.zeros(len(rows), np.intp)
+    for i in starts:
+        width[i:i + _BLOCK_ROWS] = np.count_nonzero(rows[i:i + _BLOCK_ROWS], axis=1)
     out = np.zeros((len(rows), width.max(initial=0)), np.uint8)
-    out[np.arange(out.shape[1]) < width[:, None]] = rows[full]
+    for i in starts:
+        block, w = rows[i:i + _BLOCK_ROWS], width[i:i + _BLOCK_ROWS, None]
+        out[i:i + _BLOCK_ROWS][np.arange(out.shape[1]) < w] = block[block != 0]
     return out
 
 
@@ -223,8 +229,12 @@ def _format17(values, end: bytes) -> np.ndarray:
     """Each float as the bytes of ``"%.17g" % v`` and ``end``, one 32-byte
     uint8 row per value with NUL in the bytes to drop (see
     :func:`_nonzero17`).  Zeros are written here as "0" or "-0"; only the
-    other values go through the kernel."""
+    other values go through the kernel, ``_BLOCK_ROWS`` at a time, so that
+    its working set stays bounded however many values there are."""
     v = np.asarray(values, dtype=float).ravel()
+    if len(v) > _BLOCK_ROWS:
+        return np.concatenate([_format17(v[i:i + _BLOCK_ROWS], end)
+                               for i in range(0, len(v), _BLOCK_ROWS)])
     zero = v == 0
     if not zero.any():
         return _nonzero17(v, end).view(np.uint8)

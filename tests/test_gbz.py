@@ -14,9 +14,11 @@ from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     gap_report, gbz_compute, gbz_touching_point, make_model,
                     non_bloch_hamiltonian, real_space_hamiltonian, skin_direction)
 from nhskin import gbz as gbz_mod
-from nhskin.gbz import (_agbz_table, _balance, _branch_energies, _cell_energy_sets,
-                        _charpoly_gbz, _charpoly_table, _gauge_radius, _middle_roots,
-                        _radial_refine_many, _roots_many, charpoly_coefficients)
+from nhskin.gbz import (_agbz_table, _balance, _beta_t, _branch_energies, _cell_energy_sets,
+                        _charpoly_gbz, _charpoly_table, _gauge_radius, _horner,
+                        _middle_roots, _radial_refine_many, _roots_many,
+                        _touching_point_in_regime, _touching_point_scan,
+                        charpoly_coefficients)
 from nhskin.model import non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
@@ -114,13 +116,19 @@ def test_touching_point_without_a_balance_zero_raises(model_a):
         gbz_touching_point(dataclasses.replace(g, betas=20 * g.betas))
 
 
-def _brentq_touching_point(g):
-    """The touching point as brentq refines it: the same nearest
-    cross-component pair and the same 80-radius scan for a sign change."""
+def _pair_radius(g):
+    """Radius r0 of the nearest cross-component point pair, around which
+    the touching point is looked for."""
     c0, c1 = g.component(0), g.component(1)
     d = np.abs(c0[:, None] - c1[None, :])
     i, j = np.unravel_index(np.argmin(d), d.shape)
-    r0 = abs(c0[i] + c1[j]) / 2
+    return abs(c0[i] + c1[j]) / 2
+
+
+def _brentq_touching_point(g):
+    """The touching point as brentq refines it: the same nearest
+    cross-component pair and the same 80-radius scan for a sign change."""
+    r0 = _pair_radius(g)
     rs = np.geomspace(r0 / 3, r0 * 3, 80)
     bal = _balance(g.model, -rs, 0)
     k = np.flatnonzero(np.sign(bal[:-1]) * np.sign(bal[1:]) < 0)[0]
@@ -150,9 +158,9 @@ def test_touching_point_matches_brentq_on_random_chains():
 
 
 def test_touching_point_refines_a_smooth_balance_to_brentq_tolerance(model_a, monkeypatch):
-    """With the balance replaced by log(|beta| / r) the subdivision must stop
-    within brentq's xtol (2e-12) of r, after one scan and six 65-point
-    calls: a scalar bisection would take some 40."""
+    """With the balance replaced by log(|beta| / r) the scan's subdivision
+    must stop within brentq's xtol (2e-12) of r, after one scan and six
+    65-point calls: a scalar bisection would take some 40."""
     g = gbz_compute(model_a.with_(gamma=0.0))
     r = abs(gbz_touching_point(g)) * (1 + 1e-3 * np.pi)
     calls = []
@@ -161,7 +169,7 @@ def test_touching_point_refines_a_smooth_balance_to_brentq_tolerance(model_a, mo
         calls.append(len(betas))
         return np.log(np.abs(betas) / r)
     monkeypatch.setattr(gbz_mod, "_balance", smooth)
-    assert abs(gbz_touching_point(g) + r) <= 2e-12
+    assert abs(_touching_point_scan(g.model, _pair_radius(g)) + r) <= 2e-12
     assert calls == [80] + [65] * 6
 
 
@@ -335,9 +343,10 @@ def test_balanced_radius_beats_both_middle_roots(model_a):
     assert np.max(s[:, -1] / s[:, 0]) < 1e-12
 
 
-FIG4_HOPS = pytest.mark.parametrize("hops", [(2.1, 14.9, 11.2, 3.7),    # fig4a
-                                              (3.2, 6.7, 22.6, 8.4),     # fig4e
-                                              (2.1, 14.9, 12.6, 8.9)])   # fig4i
+FIG4 = [(2.1, 14.9, 11.2, 3.7),    # fig4a
+        (3.2, 6.7, 22.6, 8.4),     # fig4e
+        (2.1, 14.9, 12.6, 8.9)]    # fig4i
+FIG4_HOPS = pytest.mark.parametrize("hops", FIG4)
 
 
 @FIG4_HOPS
@@ -583,9 +592,88 @@ def test_half_size_solve_matches_the_gauged_chain_at_obc_fit_length(monkeypatch)
 
 @FIG4_HOPS
 def test_gauge_radius_is_the_touching_point_modulus(hops):
+    # against the balance scan, not the closed form that both share
     m = make_model(Family.GT, *hops)
-    touching = abs(gbz_touching_point(gbz_compute(m, GbzMethod.CHARPOLY)))
+    g = gbz_compute(m, GbzMethod.CHARPOLY)
+    touching = abs(_touching_point_scan(m, _pair_radius(g)))
     assert abs(_gauge_radius(m) - touching) <= 1e-9 * touching
+
+
+# 80 seeded models: 38 in beta_T's regime, 42 outside it
+RANDOM_GT = [make_model(Family.GT, *hops)
+             for hops in np.random.default_rng(2019).uniform(0.5, 15.0, (80, 4))]
+IN_REGIME = [m for m in RANDOM_GT if _touching_point_in_regime(m)][:30]
+OUT_OF_REGIME = [m for m in RANDOM_GT if not _touching_point_in_regime(m)][:6]
+
+
+def _counting_balance(monkeypatch):
+    """Replace ``_balance`` by a wrapper; returns the list of its batch sizes."""
+    calls, balance = [], gbz_mod._balance
+    monkeypatch.setattr(gbz_mod, "_balance", lambda *a: calls.append(len(a[1])) or balance(*a))
+    return calls
+
+
+@pytest.mark.parametrize("m", [make_model(Family.GT, *h) for h in FIG4] + IN_REGIME)
+def test_touching_point_is_a_double_root_of_the_charpoly(m):
+    """At E_T^2 = m(beta_T), P(beta_T) and beta_T P'(beta_T) vanish to
+    rounding (2d eps, the residual at which roots count as exact) against
+    sum |c_k| |beta|^k and sum k |c_k| |beta|^k."""
+    bt = _beta_t(m)
+    c = charpoly_coefficients(m, _branch_energies(m, [bt])[0, 0])
+    f, df, scale = _horner(c, np.array([[bt]], complex))
+    k = np.arange(c.shape[1])
+    tol = 2 * 4 * np.finfo(float).eps
+    assert abs(f[0, 0]) <= tol * scale[0, 0]
+    assert abs(bt * df[0, 0]) <= tol * np.sum(k * np.abs(c[0]) * abs(bt) ** k)
+
+
+def test_touching_point_regime_matches_the_middle_roots():
+    # beta_T is in its regime exactly where the two middle-modulus roots of
+    # det(H(beta) - E_T) are the double root beta_T, which _roots_many
+    # resolves to about sqrt(eps)
+    for m in [make_model(Family.GT, *h) for h in FIG4] + RANDOM_GT:
+        bt = _beta_t(m)
+        r = _roots_many(charpoly_coefficients(m, _branch_energies(m, [bt])[0, 0]))[0]
+        middle = bool(np.all(np.abs(r[1:3] - bt) < 1e-5 * abs(bt)))
+        assert _touching_point_in_regime(m) == middle
+
+
+@pytest.mark.parametrize("m", IN_REGIME)
+def test_closed_form_touching_point_matches_the_scan(m, monkeypatch):
+    g = gbz_compute(m, GbzMethod.CHARPOLY)
+    calls = _counting_balance(monkeypatch)
+    tp = gbz_touching_point(g)
+    assert tp == complex(_beta_t(m))
+    assert calls == []
+    scan = _touching_point_scan(m, _pair_radius(g))
+    assert abs(tp - scan) <= 1e-8 * abs(scan)
+
+
+@pytest.mark.parametrize("m", OUT_OF_REGIME)
+def test_touching_point_outside_the_regime_is_the_scan(m, monkeypatch):
+    g = gbz_compute(m, GbzMethod.CHARPOLY)
+    calls = _counting_balance(monkeypatch)
+    tp = gbz_touching_point(g)
+    assert calls[0] == 80
+    assert tp == _touching_point_scan(m, _pair_radius(g))
+
+
+# t3 and t4, which these families do not read, put beta_T of the same four
+# hoppings in its regime and within a factor 3 of the GBZ radius
+@pytest.mark.parametrize("family,hops", [(Family.HATANO_NELSON, (2.5, 0.9, 1, 5)),
+                                         (Family.NH_SSH, (1.0, 2.0, 5, 1))])
+def test_reference_models_take_the_scan(family, hops, monkeypatch):
+    # one band pair: no touching point, and no balance is evaluated; with
+    # the points split into two components the scan, not beta_T, runs
+    g = gbz_compute(make_model(family, *hops, n_cells=40), n_sites=80)
+    assert _touching_point_in_regime(g.model)
+    calls = _counting_balance(monkeypatch)
+    with pytest.raises(NoTouchingPointError, match="two band-pair components"):
+        gbz_touching_point(g)
+    assert calls == []
+    split = dataclasses.replace(g, band_pair=np.arange(len(g.betas)) % 2)
+    assert gbz_touching_point(split) == _touching_point_scan(g.model, _pair_radius(split))
+    assert calls[0] == 80
 
 
 @pytest.mark.parametrize("family,hops,delta", [

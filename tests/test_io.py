@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import re
 import xml.etree.ElementTree as ET
@@ -313,6 +314,31 @@ def test_format17_matches_percent_in_every_row_layout():
         for signed in (v, -v):
             want = "".join(FLOAT_FMT % x + end for x in signed.tolist()).encode()
             assert nio._format17(signed, end.encode()).tobytes().translate(None, b"\0") == want
+
+
+def test_format17_runs_its_kernel_block_by_block(monkeypatch):
+    """A column longer than ``_BLOCK_ROWS`` reaches the kernel at most
+    ``_BLOCK_ROWS`` values at a time, and its bytes still equal those of %
+    across the block boundaries, with zeros on both sides of them."""
+    n = nio._BLOCK_ROWS
+    v = _awkward_floats(np.random.default_rng(41), 2 * n + 3)
+    v[[n - 1, n, 2 * n - 1, 2 * n]] = [-0.0, 0.0, 1e-300, -0.0]
+    sizes, kernel = [], nio._nonzero17
+    monkeypatch.setattr(nio, "_nonzero17", lambda x, end: sizes.append(len(x)) or kernel(x, end))
+    assert _kernel17(v) == _percent17(v)
+    assert max(sizes) <= n and sum(sizes) == np.count_nonzero(v)
+
+
+def test_format17_oracle_script_finds_no_mismatch(capsys):
+    """``scripts/format17_oracle.py`` at N = 10^5 values per class exits 0,
+    with 0 mismatches in each of its 9 classes."""
+    path = Path(__file__).parents[1] / "scripts" / "format17_oracle.py"
+    spec = importlib.util.spec_from_file_location("format17_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    assert oracle.main(["--n", "100000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9 and all(" 0 mismatches " in line for line in lines)
 
 
 def test_format17_writes_signed_zeros_itself(monkeypatch):
