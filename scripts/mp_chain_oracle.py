@@ -5,7 +5,9 @@ Solves the undamped open double chain with mpmath's dense eigensolver and
 prints, per chain, its label, which path ``chain_eigenvalues`` took and the
 largest deviation of its eigenvalues (optimal one-to-one matching) relative
 to max|E|.  The plain complex ``numpy.linalg.eigvals`` of the ungauged chain
-is printed alongside.  A 100-site chain takes about a minute at 60 digits
+is printed alongside.  The edge pair, the oracle's two eigenvalues of
+smallest |E|, is printed to 17 digits with the error of its matched
+``chain_eigenvalues`` relative to |E| itself.  A 100-site chain takes about a minute at 60 digits
 (49-69 s on a 2-vCPU VM); the time grows as the cube of the length.  The run
 is not part of the tests.
 
@@ -17,14 +19,16 @@ time, on the field of ``nhskin project``: a poke at site 20, 20 s at
 The eigenvectors take longer: about 100 s for an 80-site chain at 40 digits
 and 180 s for a 100-site one (2-vCPU VM).
 
-    PYTHONPATH=src python scripts/mp_chain_oracle.py [--dps D] [--vectors] [CHAIN ...]
+    PYTHONPATH=src python scripts/mp_chain_oracle.py [--dps D] [--resolution R]
+                                                     [--vectors] [CHAIN ...]
 
 A CHAIN is ``i4,i3``, a point of the fig3d grid (t1 = 1, t2 = 2, (t3, t4)
-on the 24-point linspace over [0.2, 6], 25 cells), or ``PRESET:N_CELLS``,
-the hoppings of a CLI preset on a chain of N_CELLS cells (``fig4e:40``).
-The default chains are (8, 14), an A point the half-size solve resolves;
-(3, 9), an A point whose edge modes send it to the full solve; and
-(14, 18), a C point (real spectrum).
+on the R-point linspace over [0.2, 6], R = 24 by default, 25 cells), or
+``PRESET:N_CELLS``, the hoppings of a CLI preset on a chain of N_CELLS
+cells (``fig4e:40``).  The default chains are (8, 14), an A point the
+half-size solve resolves alone; (3, 9), an A point whose edge pair near
+E = 0 the inverse half-size solve resolves; and (14, 18), a C point (real
+spectrum).
 """
 
 from __future__ import annotations
@@ -40,19 +44,20 @@ from nhskin import (Family, WaveField, chain_eigenvalues, classify_phase, defaul
                     evolve, make_model, obc_decomposition, poke_state, real_space_hamiltonian)
 from nhskin.cli import PRESETS
 
-GRID = np.linspace(0.2, 6.0, 24)
 DEFAULT_CHAINS = ("8,14", "3,9", "14,18")
 
 
-def chain_model(spec: str):
+def chain_model(spec: str, resolution: int = 24):
     if ":" in spec:
         preset, n_cells = spec.split(":")
         p = PRESETS[preset]["model"]
         hops = (float(p[k]) for k in ("t1", "t2", "t3", "t4"))
         return spec, make_model(Family.GT, *hops, n_cells=int(n_cells))
     i4, i3 = (int(k) for k in spec.split(","))
-    return (f"(i4, i3) = ({i4}, {i3}), (t3, t4) = ({GRID[i3]:.4f}, {GRID[i4]:.4f})",
-            make_model(Family.GT, 1.0, 2.0, GRID[i3], GRID[i4], n_cells=25))
+    grid = np.linspace(0.2, 6.0, resolution)
+    return (f"(i4, i3) = ({i4}, {i3}) of {resolution}, "
+            f"(t3, t4) = ({grid[i3]:.4f}, {grid[i4]:.4f})",
+            make_model(Family.GT, 1.0, 2.0, grid[i3], grid[i4], n_cells=25))
 
 
 def matching(a: np.ndarray, b: np.ndarray):
@@ -116,20 +121,24 @@ def solved_path(model) -> tuple[np.ndarray, str]:
         w = chain_eigenvalues(model)
     finally:
         np.linalg.eigvals = eigvals
-    names = {(model.n_sites // 2,): "half-size", (model.n_sites,): "full",
-             (model.n_sites // 2, model.n_sites): "half-size, then full"}
+    half, full = model.n_sites // 2, model.n_sites
+    names = {(half,): "half-size", (full,): "full",
+             (half, half): "half-size, small E^2 from the inverse",
+             (half, full): "half-size, then full (singular block)"}
     return w, names[tuple(sizes)]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dps", type=int, default=60, help="mpmath digits (default 60)")
+    parser.add_argument("--resolution", type=int, default=24,
+                        help="points per axis of the i4,i3 grid (default 24)")
     parser.add_argument("--vectors", action="store_true",
                         help="also report the |D| error of obc_decomposition")
     parser.add_argument("chains", nargs="*", default=DEFAULT_CHAINS)
     args = parser.parse_args()
     for spec in args.chains:
-        name, m = chain_model(spec)
+        name, m = chain_model(spec, args.resolution)
         H = real_space_hamiltonian(m)
         t0 = time.perf_counter()
         if args.vectors:
@@ -140,11 +149,16 @@ def main() -> None:
         seconds = time.perf_counter() - t0
         w, path = solved_path(m)
         scale = np.max(np.abs(ref))
+        perm, err = matching(ref, w)
+        edge = np.argsort(np.abs(ref))[:2]
+        edge_err = np.max(np.abs(w[perm[edge]] - ref[edge]) / np.abs(ref[edge]))
         print(f"{name}, {m.n_sites} sites: label {classify_phase(m).label.value}, "
               f"min|E|/max|E| = {np.abs(ref).min() / scale:.2g}, path {path}; "
-              f"chain_eigenvalues {matching(ref, w)[1] / scale:.2g}, "
+              f"chain_eigenvalues {err / scale:.2g}, "
               f"ungauged complex eigvals {matching(ref, np.linalg.eigvals(H))[1] / scale:.2g} "
               f"(relative to max|E|; oracle {seconds:.0f} s at {args.dps} digits)", flush=True)
+        print(f"{name}: edge pair E = {ref[edge[0]]:.17g}, {ref[edge[1]]:.17g}; "
+              f"chain_eigenvalues {edge_err:.2g} (relative to |E|)", flush=True)
         if args.vectors:
             print(f"{name}: obc_decomposition |D| error {coefficient_error(field, ref, D):.2g} "
                   f"(relative to max|D| at each time)", flush=True)

@@ -11,7 +11,9 @@ Two independent GBZ constructions are provided:
   the exact resultant polynomial that vanishes where beta and beta e^{i theta}
   share an energy, by batched companion eigenvalues, and keeps the roots
   that form the middle root pair with their partner (Yokomizo & Murakami,
-  PRL 123, 066404 (2019)).  Each point is reported with both energies +-E.
+  PRL 123, 066404 (2019)), judged by the other two roots of the double
+  chain's quartic, which Vieta gives once beta and beta w are divided out.
+  Each point is reported with both energies +-E.
 
 Both read the characteristic polynomial beta^p det(H(beta) - E) from an exact
 table of its bivariate coefficients and solve it for beta in closed form
@@ -27,8 +29,10 @@ solved in the imaginary gauge that brings its GBZ near the unit circle
 radius for the reference models), which leaves its eigenvalues and removes
 most of its non-normality.  Every family's chain is bipartite and is
 solved on half the sites, as E^2 = eig(C D) of the blocks joining the two
-sublattices; a chain whose sublattices differ in size, or with an
-eigenvalue too close to 0 for E^2 to resolve it, is solved at full size.
+sublattices; an E^2 too close to 0 for that solve to resolve (an edge pair)
+is taken from the largest eigenvalues of D^-1 C^-1, also on half the
+sites.  A chain whose sublattices differ in size, or with a singular block,
+is solved at full size.
 
 The double chain has four bands that the combined glide/time-reversal
 symmetry groups into two pairs (E, -conj(E)); each pair traces one GBZ
@@ -76,9 +80,9 @@ class GBZ:
     ``chain_eigenvalues`` holds every eigenvalue of the undamped open chain
     that ``obc_fit`` fitted (None for ``charpoly``), which
     :func:`gap_report` can judge when that chain is the one classified.
-    ``charpoly`` points are the aGBZ roots that pass its middle-pair test,
-    at 60 phase differences theta, so they are spaced uniformly in theta,
-    not in arg(beta)."""
+    ``charpoly`` points are the aGBZ roots beta that form the middle root
+    pair with beta e^{i theta}, at 60 phase differences theta, so they are
+    spaced uniformly in theta, not in arg(beta)."""
 
     betas: np.ndarray
     energies: np.ndarray
@@ -354,11 +358,15 @@ def _agbz_points(model: LatticeModel, w: np.ndarray):
 
     The roots beta of the resultant :func:`_agbz_table` come from batched
     companion eigenvalues.  Each takes the energy E of the E^2 branch it
-    shares with beta w, and is kept where beta and beta w are the middle
-    root pair of the characteristic polynomial at E: equal in modulus to
-    1e-6 and each within 1e-5 of one of the pair (relative to |beta|).
-    Roots with no usable E (the charpoly at E lost degree) are dropped.
-    Returns the index into ``w``, beta and E of each kept root, ordered by w."""
+    shares with beta w, so beta and beta w are two roots of the
+    characteristic polynomial at E.  A reference model's polynomial has no
+    other roots.  The double chain's quartic c_0 + ... + c_4 beta^4 has two
+    more, which by Vieta solve x^2 + (c_3 / c_4 + beta + beta w) x
+    + c_0 / (c_4 beta beta w) = 0; the root is kept where they lie one
+    strictly inside |beta| and one strictly outside, so that beta and beta w
+    are the middle root pair.  Roots with no usable E (the charpoly at E lost
+    degree) are dropped.  Returns the index into ``w``, beta and E of each
+    kept root, ordered by w."""
     T = _agbz_table(model)
     coeffs = np.vander(w, T.shape[1], increasing=True) @ T.T
     d = coeffs.shape[1] - 1
@@ -376,15 +384,12 @@ def _agbz_points(model: LatticeModel, w: np.ndarray):
         E = e[np.arange(len(betas)), np.argmin(near, axis=1)]
         table = _charpoly_table(model)
         cp = np.vander(E, table.shape[1], increasing=True) @ table.T
-        ok = np.all(np.isfinite(cp), axis=1) & ~_degree_collapsed(cp)
-    k, betas, shifted, E = k[ok], betas[ok], shifted[ok], E[ok]
-    a, b = _middle_roots(cp[ok])
-    r = np.abs(betas)
-
-    def close(x, y):
-        return np.abs(x - y) < 1e-5 * r
-    keep = ((np.abs(np.abs(a) - np.abs(b)) < 1e-6 * r)
-            & ((close(a, betas) & close(b, shifted)) | (close(b, betas) & close(a, shifted))))
+        keep = np.all(np.isfinite(cp), axis=1) & ~_degree_collapsed(cp)
+        if model.family is Family.GT:
+            x, y = (np.abs(v) for v in _quadratic_roots(
+                cp[:, 3] / cp[:, 4] + betas + shifted, cp[:, 0] / (cp[:, 4] * betas * shifted)))
+            r = np.abs(betas)
+            keep &= (np.minimum(x, y) < r) & (np.maximum(x, y) > r)
     return k[keep], betas[keep], E[keep]
 
 
@@ -446,17 +451,28 @@ def chain_eigenvalues(model: LatticeModel) -> np.ndarray:
     power of r is formed, and solved in real arithmetic.  Every chain
     couples sublattice A only to B, so E = +-sqrt(lambda) over the
     eigenvalues lambda of C D on half the sites, C and D its A-B and B-A
-    blocks.  The full gauged chain is solved instead where the sublattices
-    differ in size (an odd Hatano-Nelson chain), and where
-    min|lambda| < sqrt(eps) max|lambda|, as some E^2 then keeps less than
-    half its digits."""
+    blocks.  The k eigenvalues lambda below sqrt(eps) max|lambda| (edge
+    modes near E = 0) keep less than half their digits there; they are
+    taken instead as 1 / mu over the k largest |mu| of the eigenvalues
+    mu of D^-1 C^-1, formed by two solves, never by inverting C D.  The
+    full gauged chain is solved where the sublattices differ in size (an
+    odd Hatano-Nelson chain), or where C or D is singular (an NH-SSH chain
+    with a one-way bond, |delta| = t1)."""
     _, blocks = _gauged_blocks(model)
     H = _open_chain(*blocks, model.n_cells)
     a = _sublattice_a(model)
     if 2 * np.count_nonzero(a) == len(a):
-        lam = np.linalg.eigvals(H[np.ix_(a, ~a)] @ H[np.ix_(~a, a)]).astype(complex, copy=False)
+        C, D = H[np.ix_(a, ~a)], H[np.ix_(~a, a)]
+        lam = np.linalg.eigvals(C @ D).astype(complex, copy=False)
         size = np.abs(lam)
-        if size.min() >= np.sqrt(np.finfo(float).eps) * size.max():
+        small = size < np.sqrt(np.finfo(float).eps) * size.max()
+        try:
+            if small.any():
+                mu = np.linalg.eigvals(np.linalg.solve(D, np.linalg.solve(C, np.eye(len(C)))))
+                lam[small] = 1 / mu[np.argsort(-np.abs(mu))[:np.count_nonzero(small)]]
+        except np.linalg.LinAlgError:
+            pass    # C or D is singular
+        else:
             e = np.sqrt(lam)
             return np.concatenate([e, -e])
     return np.linalg.eigvals(H).astype(complex, copy=False)

@@ -89,6 +89,58 @@ def test_every_command_runs_without_scipy(tmp_path):
         assert (tmp_path / name).exists(), name
 
 
+# The NumPy-only command list: the GBZ paths that project and the
+# cross-check take (fig4a's charpoly run rejects aGBZ roots by Vieta, and
+# its touching point is the closed-form beta_T), the open-chain solves of the
+# spectrum (fig4a's edge pair from the inverse half-size solve, an NH-SSH
+# one-way bond's singular block from the full-size one, an odd Hatano-Nelson
+# chain's unequal sublattices), the phase diagram on the fig3d grid, whose
+# Mx pairs are solved once, and on a grid whose axes share no value, where
+# every point is solved, project's gauged eigenvectors in the mode order that
+# spectrum shares, the real-gauge propagation and 17-digit energy writer of
+# evolve (a poke on the B sublattice) and sweep.
+_CLI_WITHOUT_SCIPY = """\
+import contextlib, io, sys
+from pathlib import Path
+sys.modules["scipy"] = None    # any import of scipy, also a lazy one, fails
+from nhskin.cli import main
+out = Path(sys.argv[1])
+configs = {
+    "cp": "[gbz]\\nmethod = charpoly\\ncross_check = true\\n",
+    "pd": "[phase_diagram]\\nresolution = 6\\n",
+    "pd_asym": "[phase_diagram]\\nresolution = 6\\nt4_min = 0.3\\n",
+    "ev": "[evolve]\\npoke_site = 2\\n",
+    "sw": "[sweep]\\nsamples = 3\\n",
+    "hn": "[model]\\nfamily = HatanoNelson\\nt1 = 1.3\\nt2 = 0.7\\nt3 = 1\\nt4 = 1\\n"
+          "n_cells = 41\\n",
+    "ssh": "[model]\\nfamily = NHSSH\\nt1 = 1\\nt2 = 2\\nt3 = 1\\nt4 = 1\\n"
+           "nhssh_delta = 1\\nn_cells = 20\\n",
+}
+runs = [
+    ("spectrum", "fig4a", None), ("gbz", "fig4a", None), ("evolve", "fig4a", None),
+    ("project", "fig4a", None), ("project", "fig4e", None), ("gbz", "fig4e", "cp"),
+    ("gbz", "fig4a", "cp"), ("phase-diagram", "fig3d", "pd"),
+    ("phase-diagram", "fig3d", "pd_asym"), ("sweep", "fig5h", None), ("evolve", "fig4e", "ev"),
+    ("sweep", "fig5i", "sw"), ("spectrum", "fig4a", "hn"), ("evolve", "fig4a", "hn"),
+    ("project", "fig4a", "hn"), ("spectrum", "fig4a", "ssh"),
+]
+for k, (command, preset, config) in enumerate(runs):
+    argv = [command, "--preset", preset, "--out", str(out / str(k))]
+    if config:
+        (out / f"{config}.cfg").write_text(configs[config])
+        argv += ["--config", str(out / f"{config}.cfg")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+"""
+
+
+def test_cli_runs_without_scipy_and_with_warnings_as_errors(tmp_path, monkeypatch):
+    """The CLI on NumPy alone: every run above exits 0 and raises no
+    warning."""
+    monkeypatch.setenv("PYTHONWARNINGS", "error")
+    _run_python(_CLI_WITHOUT_SCIPY, str(tmp_path))
+
+
 def test_spectrum_preset_roundtrip(tmp_path, capsys):
     assert main(["spectrum", "--preset", "fig4a", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

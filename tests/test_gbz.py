@@ -14,12 +14,13 @@ from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
                     gap_report, gbz_compute, gbz_touching_point, make_model,
                     non_bloch_hamiltonian, real_space_hamiltonian, skin_direction)
 from nhskin import gbz as gbz_mod
-from nhskin.gbz import (_agbz_table, _balance, _beta_t, _branch_energies, _cell_energy_sets,
-                        _charpoly_gbz, _charpoly_table, _gauge_radius, _horner,
+from nhskin.gbz import (_agbz_points, _agbz_table, _balance, _beta_t, _branch_energies,
+                        _cell_energy_sets, _charpoly_gbz, _charpoly_table, _degree_collapsed,
+                        _gauge_radius, _gauged_blocks, _horner,
                         _middle_roots, _radial_refine_many, _roots_many,
                         _touching_point_in_regime, _touching_point_scan,
                         charpoly_coefficients)
-from nhskin.model import non_bloch_hamiltonians
+from nhskin.model import _open_chain, non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
@@ -529,14 +530,15 @@ def test_branch_energies_square_to_lapack_eigenvalues(family, hops, rng):
 
 @pytest.mark.parametrize("family,hops,delta,solves", [
     # fig4a and NH-SSH have edge modes near E = 0, so some E^2 = lambda is
-    # below sqrt(eps) max|lambda| and the full chain is solved after C D
-    (Family.GT, (2.1, 14.9, 11.2, 3.7), None, [20, 40]),
+    # below sqrt(eps) max|lambda| and is taken from D^-1 C^-1 after C D
+    (Family.GT, (2.1, 14.9, 11.2, 3.7), None, [20, 20]),
     (Family.HATANO_NELSON, (2.5, 0.9, 1, 1), None, [20]),
-    (Family.NH_SSH, (1.0, 2.0, 1, 1), None, [20, 40]),
+    (Family.NH_SSH, (1.0, 2.0, 1, 1), None, [20, 20]),
     (Family.GT, (3.2, 6.7, 22.6, 8.4), None, [20]),   # fig4e: resolved by C D alone
     # |delta| > t1: the GBZ radius is sqrt(|(t1 - delta) / (t1 + delta)|)
-    (Family.NH_SSH, (1.0, 2.0, 1, 1), 1.5, [20, 40]),
-    # delta = t1: a one-way bond, no gauge (r = 1)
+    (Family.NH_SSH, (1.0, 2.0, 1, 1), 1.5, [20, 20]),
+    # delta = t1: a one-way bond, no gauge (r = 1); C is singular, so the
+    # full chain is solved after C D
     (Family.NH_SSH, (1.0, 2.0, 1, 1), 1.0, [20, 40]),
 ], ids=["GT-hops0", "HatanoNelson-hops1", "NHSSH-hops2", "GT-hops3",
         "NHSSH-delta-above-t1", "NHSSH-delta-t1"])
@@ -588,6 +590,64 @@ def test_half_size_solve_matches_the_gauged_chain_at_obc_fit_length(monkeypatch)
     gauge = _gauge_radius(m) ** (x[None, :] - x[:, None]).astype(float)
     ref = eigvals(real_space_hamiltonian(m) * gauge)
     assert _matched_error(w, ref) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _gauged_full_chain(m):
+    """The full-size gauged chain S^-1 H S that chain_eigenvalues falls back to."""
+    return _open_chain(*_gauged_blocks(m)[1], m.n_cells)
+
+
+FIG3D_16 = np.linspace(0.2, 6.0, 16)
+
+
+def _fig3d_16(i4, i3):
+    """Point (i4, i3) of the 16-point fig3d grid of the phase-diagram benchmark."""
+    return make_model(Family.GT, 1.0, 2.0, FIG3D_16[i3], FIG3D_16[i4], n_cells=25)
+
+
+@pytest.mark.parametrize("m", [
+    *(make_model(Family.GT, *h) for h in FIG4),
+    _fig3d_16(0, 5).with_(n_cells=10), _fig3d_16(0, 4).with_(n_cells=10),
+    make_model(Family.NH_SSH, 1.0, 2.0, 1, 1, n_cells=20),
+    make_model(Family.NH_SSH, 1.0, 2.0, 1, 1, n_cells=20, nhssh_delta=-1.5),
+    make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1, n_cells=40),
+], ids=["fig4a", "fig4e", "fig4i", "fig3d-0-5", "fig3d-0-4", "NHSSH", "NHSSH-delta-below-minus-t1",
+        "HatanoNelson"])
+def test_chain_eigenvalues_match_the_full_size_solve(m):
+    # 40-site chains, with and without an edge pair taken from D^-1 C^-1
+    w = chain_eigenvalues(m)
+    ref = np.linalg.eigvals(_gauged_full_chain(m))
+    assert w.shape == (m.n_sites,)
+    assert _matched_error(w, ref) <= 1e-10 * np.max(np.abs(ref))
+
+
+# The edge pair +-E of each chain from 50-digit mpmath:
+#   PYTHONPATH=src python scripts/mp_chain_oracle.py --dps 50 fig4a:10 fig4i:10
+#   PYTHONPATH=src python scripts/mp_chain_oracle.py --dps 50 --resolution 16 0,5 0,4
+# A full-size solve of the same chains misses it by 1.6e-6, 1.8e-10, 2.5e-3
+# and 7.3e-4 of |E|.
+@pytest.mark.parametrize("m,edge", [
+    (make_model(Family.GT, *FIG4[0]), 1.7249372695423566e-07),
+    (make_model(Family.GT, *FIG4[2]), 6.1987534525437875e-06),
+    (_fig3d_16(0, 5), 8.9267599950792925e-08j),
+    (_fig3d_16(0, 4), 6.4411539302771321e-08),
+], ids=["fig4a", "fig4i", "fig3d-0-5", "fig3d-0-4"])
+def test_edge_pair_matches_extended_precision(m, edge):
+    w = chain_eigenvalues(m)
+    for e in (edge, -edge):
+        assert np.min(np.abs(w - e)) <= 1e-12 * abs(e)
+
+
+@pytest.mark.parametrize("delta", [1.0, -1.0])
+def test_singular_block_takes_the_full_size_solve(delta, monkeypatch):
+    # a one-way bond leaves C or D singular, so D^-1 C^-1 does not exist
+    m = make_model(Family.NH_SSH, 1.0, 2.0, 1, 1, n_cells=20, nhssh_delta=delta)
+    eigvals = np.linalg.eigvals
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a.shape) or eigvals(a))
+    w = chain_eigenvalues(m)
+    assert solved == [(20, 20), (40, 40)]
+    assert np.array_equal(w, eigvals(_gauged_full_chain(m)))
 
 
 @FIG4_HOPS
@@ -656,6 +716,32 @@ def test_touching_point_outside_the_regime_is_the_scan(m, monkeypatch):
     tp = gbz_touching_point(g)
     assert calls[0] == 80
     assert tp == _touching_point_scan(m, _pair_radius(g))
+
+
+def _offset_from_the_meeting_point(m):
+    """Distance of the touching point of m's charpoly GBZ from the midpoint
+    of its nearest cross-component point pair, relative to its modulus."""
+    g = gbz_compute(m, GbzMethod.CHARPOLY)
+    c0, c1 = g.component(0), g.component(1)
+    d = np.abs(c0[:, None] - c1[None, :])
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    tp = gbz_touching_point(g)
+    return abs(tp - (c0[i] + c1[j]) / 2) / abs(tp)
+
+
+@FIG4_HOPS
+def test_touching_point_is_where_the_components_meet(hops):
+    # the point spacing alone sets the offset (0.026 on each preset)
+    assert _offset_from_the_meeting_point(make_model(Family.GT, *hops)) <= 0.05
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "outside beta_T's regime the touching point is a balance zero on the "
+    "negative real axis, while the nearest cross-component pair lies off the "
+    "axis: offsets 0.10-1.8 on these 8 models"))
+@pytest.mark.parametrize("m", [m for m in RANDOM_GT if not _touching_point_in_regime(m)][:8])
+def test_touching_point_outside_the_regime_is_where_the_components_meet(m):
+    assert _offset_from_the_meeting_point(m) <= 0.05
 
 
 # t3 and t4, which these families do not read, put beta_T of the same four
@@ -793,6 +879,55 @@ def test_agbz_table_matches_convolve2d_construction(family):
         T = _agbz_table(m)
         assert T.shape == ref.shape
         assert np.max(np.abs(T - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _middle_pair_points(model, w):
+    """Oracle: the aGBZ filter by the middle roots of each charpoly, solved
+    in full.  A root beta with energy E is kept where the two middle-modulus
+    roots at E are equal in modulus to 1e-6 and lie within 1e-5 of beta and
+    beta w (relative to |beta|)."""
+    T = _agbz_table(model)
+    coeffs = np.vander(w, T.shape[1], increasing=True) @ T.T
+    d = coeffs.shape[1] - 1
+    comp = np.zeros((len(w), d, d), dtype=complex)
+    comp[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    betas = np.linalg.eigvals(comp).ravel()
+    k = np.repeat(np.arange(len(w)), d)
+    shifted = betas * w[k]
+    with np.errstate(all="ignore"):
+        e, e_w = _branch_energies(model, betas), _branch_energies(model, shifted)
+        near = np.abs(e[:, :, None] ** 2 - e_w[:, None, :] ** 2).min(axis=2)
+        E = e[np.arange(len(betas)), np.argmin(near, axis=1)]
+        table = _charpoly_table(model)
+        cp = np.vander(E, table.shape[1], increasing=True) @ table.T
+        ok = np.all(np.isfinite(cp), axis=1) & ~_degree_collapsed(cp)
+    k, betas, shifted, E = k[ok], betas[ok], shifted[ok], E[ok]
+    a, b = _middle_roots(cp[ok])
+    r = np.abs(betas)
+
+    def close(x, y):
+        return np.abs(x - y) < 1e-5 * r
+    keep = ((np.abs(np.abs(a) - np.abs(b)) < 1e-6 * r)
+            & ((close(a, betas) & close(b, shifted)) | (close(b, betas) & close(a, shifted))))
+    return k[keep], betas[keep], E[keep]
+
+
+@pytest.mark.parametrize("m", [
+    *(make_model(Family.GT, *h) for h in FIG4), *RANDOM_GT,
+    make_model(Family.HATANO_NELSON, 2.5, 0.9, 1, 1),
+    make_model(Family.NH_SSH, 1.0, 2.0, 1, 1),
+    make_model(Family.NH_SSH, 1.0, 2.0, 1, 1, nhssh_delta=1.5),
+], ids=["fig4a", "fig4e", "fig4i", *(f"random{i}" for i in range(len(RANDOM_GT))),
+        "HatanoNelson", "NHSSH", "NHSSH-delta-above-t1"])
+def test_agbz_filter_keeps_the_middle_root_pairs(m):
+    # by Vieta the quartic's other two roots decide, bit for bit, what the
+    # full middle-root solve decides
+    w = np.exp(2j * np.pi * (np.arange(60) + 0.5) / 60)
+    got, ref = _agbz_points(m, w), _middle_pair_points(m, w)
+    assert len(ref[0]) > 0
+    for x, y in zip(got, ref):
+        assert np.array_equal(x, y)
 
 
 def _det_fft_coefficients(model, E):
