@@ -22,8 +22,9 @@ class DegreeCollapseError(NumericalError):
 
 
 class NoTouchingPointError(NumericalError):
-    """The two GBZ components do not approach each other within tolerance, or
-    no balance zero on the negative real axis is bracketed near them."""
+    """The model has no touching point: it is not the double chain, or the
+    bracket of its touching point on the negative real axis holds no
+    balance zero."""
 
 
 class CrossValidationError(NumericalError):

@@ -41,9 +41,10 @@ component.  At real beta the four energies form a degenerate quadruple
 this is the touching point, which sits on the negative real axis.  There
 the E^2 branches m +- u / sqrt(beta) meet, u = 0, at
 beta_T = -(t1 t3 + t2 t4) / (t1 t4 + t2 t3), a double root of the
-characteristic polynomial.  Where that double root is its middle root pair
-the touching point is beta_T in closed form; elsewhere, and for the
-reference models, it is found by scanning the middle-root balance.
+characteristic polynomial.  The touching point is a function of the
+model alone: beta_T in closed form where that double root is its middle
+root pair, else the middle-root balance zero between |beta_T| and the
+nearer of the polynomial's other two roots, which one quadratic gives.
 """
 
 from __future__ import annotations
@@ -401,22 +402,24 @@ def _beta_t(model: LatticeModel) -> float:
     return -(t1 * t3 + t2 * t4) / (t1 * t4 + t2 * t3)
 
 
-def _touching_point_in_regime(model: LatticeModel) -> bool:
-    """Whether beta_T is the double chain's touching point: the middle root
-    pair of det(H(beta) - E_T), E_T^2 = m(beta_T).
-
-    beta_T is a double root there (Yokomizo & Murakami, PRL 123, 066404
-    (2019)).  With Q = t1 t4 + t2 t3 the determinant factors as
+def _other_root_moduli(model: LatticeModel) -> tuple[float, float]:
+    """Moduli, ascending, of the two roots of det(H(beta) - E_T) other than
+    its double root beta_T, E_T^2 = m(beta_T) (Yokomizo & Murakami, PRL 123,
+    066404 (2019)).  With Q = t1 t4 + t2 t3 the determinant factors as
     (beta - beta_T)^2 times quadratics in s = sqrt(beta) whose roots give
     the other two roots beta = s^2, s from t1 t2 beta_T s^2 + Q beta_T s
-    - t1 t2 = 0; beta_T is the middle pair when one of them lies strictly
-    inside |beta_T| and the other strictly outside."""
+    - t1 t2 = 0."""
     t1, t2, t3, t4 = model.t1, model.t2, model.t3, model.t4
-    bt = _beta_t(model)
     s = _quadratic_roots(np.array([(t1 * t4 + t2 * t3) / (t1 * t2)], complex),
-                         np.array([-1 / bt], complex))
-    inner, outer = sorted(abs(x[0]) ** 2 for x in s)
-    return bool(inner < -bt < outer)
+                         np.array([-1 / _beta_t(model)], complex))
+    return tuple(sorted(abs(x[0]) ** 2 for x in s))
+
+
+def _touching_point_in_regime(model: LatticeModel) -> bool:
+    """Whether beta_T is the double chain's touching point: the middle root
+    pair at E_T, one other root strictly inside |beta_T| and one outside."""
+    inner, outer = _other_root_moduli(model)
+    return bool(inner < -_beta_t(model) < outer)
 
 
 def _gauge_radius(model: LatticeModel) -> float:
@@ -581,55 +584,34 @@ def _radial_refine_many(model: LatticeModel, betas: np.ndarray,
 
 
 def gbz_touching_point(gbz: GBZ) -> complex:
-    """The beta where the two band-pair components meet.
-
-    The nearest cross-component point pair locates the meeting region, at
-    radius r0.  For a double chain whose beta_T (:func:`_beta_t`) is the
-    touching point (:func:`_touching_point_in_regime`) and lies within a
-    factor 3 of r0, the result is beta_T itself, exact in closed form.
-    Otherwise :func:`_touching_point_scan` refines the first balance zero on
-    the negative real axis within a factor 3 of r0.  Components that never
-    approach each other, or no sign change bracketed by the scan, raise
-    :class:`NoTouchingPointError`.
-    """
-    c0, c1 = gbz.component(0), gbz.component(1)
-    if len(c0) == 0 or len(c1) == 0:
-        raise NoTouchingPointError("GBZ does not have two band-pair components")
-    scale = np.max(np.abs(gbz.betas))
-    # the sampled components meet only up to the finite point spacing
-    tol = max(4 * np.pi / len(gbz.betas) * 10, 0.05)
-    d = np.abs(c0[:, None] - c1[None, :])
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    if d[i, j] > tol * scale:
-        raise NoTouchingPointError(
-            f"components stay {d[i, j] / scale:.3g} (relative) apart, tol {tol:g}")
-    r0 = abs(c0[i] + c1[j]) / 2
+    """The beta where the double chain's two band-pair components cross the
+    negative real axis, read from ``gbz.model`` alone: beta_T in its regime
+    (:func:`_touching_point_in_regime`), else the balance zero strictly
+    between |beta_T| and the nearer of the other two roots, both on one side
+    of it.  The E^2 branches are complex conjugates there, so branch 0 is
+    refined alone: each balance call cuts the bracket, less 1e-9 relative at
+    each end, into 64 pieces until it is 2e-12 wide.  An empty bracket (a
+    Hermitian chain, t1 = t2) leaves beta_T.  The other families and a
+    bracket without a sign change raise :class:`NoTouchingPointError`."""
     model = gbz.model
-    if (model.family is Family.GT and r0 / 3 <= -_beta_t(model) <= r0 * 3
-            and _touching_point_in_regime(model)):
-        return complex(_beta_t(model))
-    return _touching_point_scan(model, r0)
-
-
-def _touching_point_scan(model: LatticeModel, r0: float) -> complex:
-    """The first balance zero on the negative real axis between radii r0 / 3
-    and 3 r0, where the symmetry quadruple {+-a +- ib} makes the E^2
-    branches complex conjugates, so their balances agree and branch 0 is
-    refined alone: 80 radii bracket a sign change, and each batched balance
-    call then cuts it into 64 pieces, until it is 2e-12 wide.  No sign change
-    raises :class:`NoTouchingPointError`."""
-    rs = np.geomspace(r0 / 3, r0 * 3, 80)
-    g = _balance(model, -rs, 0)
-    idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
-    if len(idx) == 0:
-        raise NoTouchingPointError(
-            f"no balance zero on the negative real axis between radii "
-            f"{rs[0]:.3g} and {rs[-1]:.3g}")
-    lo, hi = rs[idx[0]], rs[idx[0] + 1]
+    if model.family is not Family.GT:
+        raise NoTouchingPointError("only the double chain has two band-pair components")
+    bt = _beta_t(model)
+    if _touching_point_in_regime(model):
+        return complex(bt)
+    inner, outer = _other_root_moduli(model)
+    lo, hi = sorted((-bt, outer if outer < -bt else inner))
+    lo, hi = lo * (1 + 1e-9), hi * (1 - 1e-9)
+    if lo >= hi:
+        return complex(bt)
     while hi - lo > 2e-12:
         x = np.linspace(lo, hi, 65)
         g = _balance(model, -x, 0)
         k = np.argmax(np.sign(g) != np.sign(g[0]))
+        if k == 0:
+            raise NoTouchingPointError(
+                f"no balance zero on the negative real axis between radii "
+                f"{lo:.6g} and {hi:.6g}")
         if g[k] == 0:
             return complex(-x[k])
         lo, hi = x[k - 1], x[k]

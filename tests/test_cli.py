@@ -91,7 +91,9 @@ def test_every_command_runs_without_scipy(tmp_path):
 
 # The NumPy-only command list: the GBZ paths that project and the
 # cross-check take (fig4a's charpoly run rejects aGBZ roots by Vieta, and
-# its touching point is the closed-form beta_T), the open-chain solves of the
+# its touching point is the closed-form beta_T; a double chain outside beta_T's
+# regime subdivides the bracket of its touching point, and a Hermitian one
+# has an empty bracket), the open-chain solves of the
 # spectrum (fig4a's edge pair from the inverse half-size solve, an NH-SSH
 # one-way bond's singular block from the full-size one, an odd Hatano-Nelson
 # chain's unequal sublattices), the phase diagram on the fig3d grid, whose
@@ -115,6 +117,8 @@ configs = {
           "n_cells = 41\\n",
     "ssh": "[model]\\nfamily = NHSSH\\nt1 = 1\\nt2 = 2\\nt3 = 1\\nt4 = 1\\n"
            "nhssh_delta = 1\\nn_cells = 20\\n",
+    "oor": "[model]\\nt1 = 1\\nt2 = 2\\nt3 = 0.5\\nt4 = 0.3\\n",
+    "herm_cp": "[model]\\nt1 = 1\\nt2 = 2\\nt3 = 3\\nt4 = 3\\n[gbz]\\nmethod = charpoly\\n",
 }
 runs = [
     ("spectrum", "fig4a", None), ("gbz", "fig4a", None), ("evolve", "fig4a", None),
@@ -122,7 +126,8 @@ runs = [
     ("gbz", "fig4a", "cp"), ("phase-diagram", "fig3d", "pd"),
     ("phase-diagram", "fig3d", "pd_asym"), ("sweep", "fig5h", None), ("evolve", "fig4e", "ev"),
     ("sweep", "fig5i", "sw"), ("spectrum", "fig4a", "hn"), ("evolve", "fig4a", "hn"),
-    ("project", "fig4a", "hn"), ("spectrum", "fig4a", "ssh"),
+    ("project", "fig4a", "hn"), ("spectrum", "fig4a", "ssh"), ("gbz", "fig4a", "oor"),
+    ("gbz", "fig4a", "herm_cp"),
 ]
 for k, (command, preset, config) in enumerate(runs):
     argv = [command, "--preset", preset, "--out", str(out / str(k))]
@@ -215,6 +220,19 @@ def test_gbz_charpoly_summary_line(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "gbz: 480 points, direction = Left, mean log|beta| = -0.4178, "
         "touching point beta = -0.721256+0j, line gap = 0 rad/s\n")
+
+
+@pytest.mark.parametrize("config,touch", [
+    # outside beta_T's regime: the balance zero between |beta_T| and the
+    # nearer other root
+    ("[model]\nt1 = 1\nt2 = 2\nt3 = 0.5\nt4 = 0.3\n", "-0.99608+0j"),
+    # Hermitian: every root at E_T lies on |beta| = 1, so beta_T = -1 itself
+    ("[model]\nt1 = 1\nt2 = 2\nt3 = 3\nt4 = 3\n[gbz]\nmethod = charpoly\n", "-1+0j"),
+])
+def test_gbz_summary_reports_the_touching_point_of_the_model(tmp_path, capsys, config, touch):
+    cfg = _write(tmp_path, "m.cfg", config)
+    assert main(["gbz", "--preset", "fig4a", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+    assert f", touching point beta = {touch}, " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("preset, gap", [("fig4a", "20.9015"), ("fig4e", "0"),

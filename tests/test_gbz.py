@@ -18,8 +18,7 @@ from nhskin.gbz import (_agbz_points, _agbz_table, _balance, _beta_t, _branch_en
                         _cell_energy_sets, _charpoly_gbz, _charpoly_table, _degree_collapsed,
                         _gauge_radius, _gauged_blocks, _horner,
                         _middle_roots, _radial_refine_many, _roots_many,
-                        _touching_point_in_regime, _touching_point_scan,
-                        charpoly_coefficients)
+                        _touching_point_in_regime, charpoly_coefficients)
 from nhskin.model import _open_chain, non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
@@ -109,38 +108,52 @@ def test_touching_point_missing_for_hatano_nelson():
         gbz_touching_point(g)
 
 
-def test_touching_point_without_a_balance_zero_raises(model_a):
-    # components that meet 20x farther out than the real crossing leave no
-    # sign change within a factor 3 of their radius: no midpoint fallback
+def _bare_gbz(m):
+    """A GBZ of model ``m`` with no points at all."""
+    none = np.empty(0, complex)
+    return gbz_mod.GBZ(none, none, np.empty(0, int), m, None)
+
+
+def test_touching_point_reads_no_sampled_point(model_a):
+    # scaled, permuted, relabelled or absent points: the same touching point
     g = gbz_compute(model_a.with_(gamma=0.0, n_cells=40))
-    with pytest.raises(NoTouchingPointError, match="no balance zero"):
-        gbz_touching_point(dataclasses.replace(g, betas=20 * g.betas))
+    tp = gbz_touching_point(g)
+    order = np.random.default_rng(0).permutation(len(g.betas))
+    for other in (dataclasses.replace(g, betas=20 * g.betas),
+                  dataclasses.replace(g, betas=g.betas[order], energies=g.energies[order],
+                                      band_pair=g.band_pair[order]),
+                  dataclasses.replace(g, band_pair=np.zeros_like(g.band_pair)),
+                  _bare_gbz(g.model)):
+        assert gbz_touching_point(other) == tp
 
 
-def _pair_radius(g):
-    """Radius r0 of the nearest cross-component point pair, around which
-    the touching point is looked for."""
-    c0, c1 = g.component(0), g.component(1)
-    d = np.abs(c0[:, None] - c1[None, :])
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    return abs(c0[i] + c1[j]) / 2
+def _touching_point_bracket(m):
+    """Oracle: the radii between which the touching point lies, from the
+    other two of the four roots of det(H(beta) - E_T) that _roots_many
+    gives (the two farthest from beta_T): both of them when they lie on
+    either side of |beta_T|, else |beta_T| and the nearer one."""
+    bt = _beta_t(m)
+    r = _roots_many(charpoly_coefficients(m, _branch_energies(m, [bt])[0, 0]))[0]
+    inner, outer = np.sort(np.abs(r[np.argsort(np.abs(r - bt))[2:]]))
+    if outer < -bt:
+        return outer, -bt
+    return (-bt, inner) if inner > -bt else (inner, outer)
 
 
-def _brentq_touching_point(g):
-    """The touching point as brentq refines it: the same nearest
-    cross-component pair and the same 80-radius scan for a sign change."""
-    r0 = _pair_radius(g)
-    rs = np.geomspace(r0 / 3, r0 * 3, 80)
-    bal = _balance(g.model, -rs, 0)
-    k = np.flatnonzero(np.sign(bal[:-1]) * np.sign(bal[1:]) < 0)[0]
-    return -brentq(lambda x: _balance(g.model, np.array([-x]), 0)[0], rs[k], rs[k + 1])
+def _brentq_touching_point(m):
+    """Oracle: brentq on the branch-0 balance along the negative real axis,
+    within the bracket of :func:`_touching_point_bracket`, less 1e-9
+    relative at each end."""
+    lo, hi = _touching_point_bracket(m)
+    return -brentq(lambda x: _balance(m, np.array([-x]), 0)[0],
+                   lo * (1 + 1e-9), hi * (1 - 1e-9))
 
 
 def _assert_matches_brentq(g):
     # near the touching point the middle roots nearly coincide, so the
     # balance itself is resolved only to ~1e-9 relative there: past that
     # both refinements land on a rounding-noise sign change
-    tp, ref = gbz_touching_point(g), _brentq_touching_point(g)
+    tp, ref = gbz_touching_point(g), _brentq_touching_point(g.model)
     assert tp.imag == 0
     assert abs(tp.real - ref) <= 3e-9 * abs(ref)
 
@@ -158,20 +171,29 @@ def test_touching_point_matches_brentq_on_random_chains():
             make_model(Family.GT, *rng.uniform(0.5, 15.0, 4)), "charpoly"))
 
 
-def test_touching_point_refines_a_smooth_balance_to_brentq_tolerance(model_a, monkeypatch):
-    """With the balance replaced by log(|beta| / r) the scan's subdivision
-    must stop within brentq's xtol (2e-12) of r, after one scan and six
-    65-point calls: a scalar bisection would take some 40."""
-    g = gbz_compute(model_a.with_(gamma=0.0))
-    r = abs(gbz_touching_point(g)) * (1 + 1e-3 * np.pi)
+def test_touching_point_refines_a_smooth_balance_to_brentq_tolerance(monkeypatch):
+    """With the balance replaced by log(|beta| / r) for an r inside the
+    bracket, the subdivision must stop within brentq's xtol (2e-12) of r
+    after at most seven 65-point calls: a scalar bisection would take some
+    40."""
+    m = OUT_OF_REGIME[0]
+    lo, hi = _touching_point_bracket(m)
+    r = np.sqrt(lo * hi) * (1 + 1e-3 * np.pi)
     calls = []
 
     def smooth(model, betas, branch):
         calls.append(len(betas))
         return np.log(np.abs(betas) / r)
     monkeypatch.setattr(gbz_mod, "_balance", smooth)
-    assert abs(_touching_point_scan(g.model, _pair_radius(g)) + r) <= 2e-12
-    assert calls == [80] + [65] * 6
+    assert abs(gbz_touching_point(_bare_gbz(m)) + r) <= 2e-12
+    assert 0 < len(calls) <= 7 and set(calls) == {65}
+
+
+def test_touching_point_without_a_sign_change_raises(monkeypatch):
+    # a balance of one sign over the whole bracket: no midpoint fallback
+    monkeypatch.setattr(gbz_mod, "_balance", lambda model, betas, branch: np.ones(len(betas)))
+    with pytest.raises(NoTouchingPointError, match="no balance zero .* between radii"):
+        gbz_touching_point(_bare_gbz(OUT_OF_REGIME[0]))
 
 
 def test_methods_cross_validate(model_b):
@@ -652,10 +674,9 @@ def test_singular_block_takes_the_full_size_solve(delta, monkeypatch):
 
 @FIG4_HOPS
 def test_gauge_radius_is_the_touching_point_modulus(hops):
-    # against the balance scan, not the closed form that both share
+    # against brentq on the balance, not the closed form that both share
     m = make_model(Family.GT, *hops)
-    g = gbz_compute(m, GbzMethod.CHARPOLY)
-    touching = abs(_touching_point_scan(m, _pair_radius(g)))
+    touching = abs(_brentq_touching_point(m))
     assert abs(_gauge_radius(m) - touching) <= 1e-9 * touching
 
 
@@ -663,13 +684,13 @@ def test_gauge_radius_is_the_touching_point_modulus(hops):
 RANDOM_GT = [make_model(Family.GT, *hops)
              for hops in np.random.default_rng(2019).uniform(0.5, 15.0, (80, 4))]
 IN_REGIME = [m for m in RANDOM_GT if _touching_point_in_regime(m)][:30]
-OUT_OF_REGIME = [m for m in RANDOM_GT if not _touching_point_in_regime(m)][:6]
+OUT_OF_REGIME = [m for m in RANDOM_GT if not _touching_point_in_regime(m)][:10]
 
 
 def _counting_balance(monkeypatch):
-    """Replace ``_balance`` by a wrapper; returns the list of its batch sizes."""
+    """Replace ``_balance`` by a wrapper; returns the list of its betas."""
     calls, balance = [], gbz_mod._balance
-    monkeypatch.setattr(gbz_mod, "_balance", lambda *a: calls.append(len(a[1])) or balance(*a))
+    monkeypatch.setattr(gbz_mod, "_balance", lambda *a: calls.append(a[1]) or balance(*a))
     return calls
 
 
@@ -700,66 +721,113 @@ def test_touching_point_regime_matches_the_middle_roots():
 
 @pytest.mark.parametrize("m", IN_REGIME)
 def test_closed_form_touching_point_matches_the_scan(m, monkeypatch):
-    g = gbz_compute(m, GbzMethod.CHARPOLY)
+    # the scan is brentq on the balance between the other two roots
     calls = _counting_balance(monkeypatch)
-    tp = gbz_touching_point(g)
+    tp = gbz_touching_point(_bare_gbz(m))
     assert tp == complex(_beta_t(m))
     assert calls == []
-    scan = _touching_point_scan(m, _pair_radius(g))
-    assert abs(tp - scan) <= 1e-8 * abs(scan)
+    ref = _brentq_touching_point(m)
+    assert abs(tp - ref) <= 1e-8 * abs(ref)
 
 
-@pytest.mark.parametrize("m", OUT_OF_REGIME)
+# the last two have other roots of distinct moduli (real s), both inside
+# |beta_T| in the first and both outside in the second, so the nearer one
+# bounds the bracket
+@pytest.mark.parametrize("m", OUT_OF_REGIME[:6] + [
+    make_model(Family.GT, 1.073, 14.864, 0.119, 14.703),
+    make_model(Family.GT, 7.663, 1.059, 1.067, 4.554)])
 def test_touching_point_outside_the_regime_is_the_scan(m, monkeypatch):
-    g = gbz_compute(m, GbzMethod.CHARPOLY)
+    # only 65-point subdivisions, the first one of the whole bracket less
+    # 1e-9 relative at each end, no pre-scan, and the result strictly inside
     calls = _counting_balance(monkeypatch)
-    tp = gbz_touching_point(g)
-    assert calls[0] == 80
-    assert tp == _touching_point_scan(m, _pair_radius(g))
+    tp = gbz_touching_point(_bare_gbz(m))
+    lo, hi = _touching_point_bracket(m)
+    # each call cuts the bracket 64-fold, and none is spent below 2e-12
+    assert {len(b) for b in calls} == {65}
+    assert (hi - lo) / 64 ** (len(calls) - 1) > 2e-12
+    np.testing.assert_allclose(-calls[0][[0, -1]], [lo * (1 + 1e-9), hi * (1 - 1e-9)],
+                               rtol=1e-12)
+    assert tp.imag == 0 and lo < -tp.real < hi
 
 
-def _offset_from_the_meeting_point(m):
-    """Distance of the touching point of m's charpoly GBZ from the midpoint
-    of its nearest cross-component point pair, relative to its modulus."""
-    g = gbz_compute(m, GbzMethod.CHARPOLY)
-    c0, c1 = g.component(0), g.component(1)
-    d = np.abs(c0[:, None] - c1[None, :])
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    tp = gbz_touching_point(g)
-    return abs(tp - (c0[i] + c1[j]) / 2) / abs(tp)
+def test_touching_point_outside_the_regime_matches_brentq():
+    """20 out-of-regime models from each of two seeded distributions:
+    hoppings log-uniform in [0.05, 20] and uniform in [0.2, 15]."""
+    hops = np.concatenate([
+        np.exp(np.random.default_rng(42).uniform(np.log(0.05), np.log(20), (60, 4))),
+        np.random.default_rng(11).uniform(0.2, 15, (60, 4))])
+    models = [make_model(Family.GT, *h) for h in hops]
+    out = [m for m in models[:60] if not _touching_point_in_regime(m)][:20]
+    out += [m for m in models[60:] if not _touching_point_in_regime(m)][:20]
+    assert len(out) == 40
+    for m in out:
+        tp, ref = gbz_touching_point(_bare_gbz(m)), _brentq_touching_point(m)
+        lo, hi = _touching_point_bracket(m)
+        assert tp.imag == 0 and lo < -tp.real < hi
+        assert abs(tp.real - ref) <= 3e-9 * abs(ref)
+
+
+def _one_pair_obc_fit_models():
+    """The models of default_rng(3) whose obc_fit GBZ at 160 sites keeps
+    only band pair 1: the 1% middle-root test drops the other pair."""
+    models = [make_model(Family.GT, *h)
+              for h in np.random.default_rng(3).uniform(0.2, 15, (150, 4))]
+    return [m for m in models if np.all(gbz_compute(m).band_pair == 1)]
+
+
+def test_both_gbz_methods_give_the_same_touching_point():
+    hermitian = [make_model(Family.GT, 1, 2, t, t) for t in (0.5, 3)]
+    one_pair = _one_pair_obc_fit_models()
+    assert len(one_pair) == 8
+    for m in [*(make_model(Family.GT, *h) for h in FIG4), *IN_REGIME[:10], *OUT_OF_REGIME,
+              *hermitian, make_model(Family.GT, 3, 3, 1, 2), *one_pair]:
+        fit = gbz_touching_point(gbz_compute(m, GbzMethod.OBC_FIT))
+        assert gbz_touching_point(gbz_compute(m, GbzMethod.CHARPOLY)) == fit
+    for m in hermitian:
+        assert gbz_touching_point(gbz_compute(m, GbzMethod.CHARPOLY)) == -1
+
+
+def _distance_to_each_component(m, n_theta):
+    """Distance of the touching point from the nearer point of each
+    component of m's charpoly GBZ at n_theta phase differences, relative to
+    its modulus: the larger of the two."""
+    betas, energies = _charpoly_gbz(m, n_theta)
+    pair = _band_pairs_by_distance(m, betas, energies)
+    tp = gbz_touching_point(_bare_gbz(m))
+    return max(np.min(np.abs(betas[pair == k] - tp)) for k in (0, 1)) / abs(tp)
+
+
+def _assert_both_components_approach(m):
+    # sampling error alone: about 4x closer per 4x in n_theta (at 60, 240
+    # and 960 the worst of the 8 out-of-regime models reads 0.045, 0.0128
+    # and 0.00265, fig4a 0.029, 0.0072 and 0.0018)
+    coarse, fine = _distance_to_each_component(m, 240), _distance_to_each_component(m, 960)
+    assert fine <= 0.005
+    assert coarse >= 3 * fine
 
 
 @FIG4_HOPS
 def test_touching_point_is_where_the_components_meet(hops):
-    # the point spacing alone sets the offset (0.026 on each preset)
-    assert _offset_from_the_meeting_point(make_model(Family.GT, *hops)) <= 0.05
+    _assert_both_components_approach(make_model(Family.GT, *hops))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "outside beta_T's regime the touching point is a balance zero on the "
-    "negative real axis, while the nearest cross-component pair lies off the "
-    "axis: offsets 0.10-1.8 on these 8 models"))
-@pytest.mark.parametrize("m", [m for m in RANDOM_GT if not _touching_point_in_regime(m)][:8])
+@pytest.mark.parametrize("m", OUT_OF_REGIME[:8])
 def test_touching_point_outside_the_regime_is_where_the_components_meet(m):
-    assert _offset_from_the_meeting_point(m) <= 0.05
+    _assert_both_components_approach(m)
 
 
-# t3 and t4, which these families do not read, put beta_T of the same four
-# hoppings in its regime and within a factor 3 of the GBZ radius
 @pytest.mark.parametrize("family,hops", [(Family.HATANO_NELSON, (2.5, 0.9, 1, 5)),
                                          (Family.NH_SSH, (1.0, 2.0, 5, 1))])
-def test_reference_models_take_the_scan(family, hops, monkeypatch):
-    # one band pair: no touching point, and no balance is evaluated; with
-    # the points split into two components the scan, not beta_T, runs
+def test_reference_models_have_no_touching_point(family, hops, monkeypatch):
+    # one band pair, even with the points split into two components: no
+    # touching point, and no balance is evaluated
     g = gbz_compute(make_model(family, *hops, n_cells=40), n_sites=80)
-    assert _touching_point_in_regime(g.model)
     calls = _counting_balance(monkeypatch)
-    with pytest.raises(NoTouchingPointError, match="two band-pair components"):
-        gbz_touching_point(g)
-    assert calls == []
     split = dataclasses.replace(g, band_pair=np.arange(len(g.betas)) % 2)
-    assert gbz_touching_point(split) == _touching_point_scan(g.model, _pair_radius(split))
-    assert calls[0] == 80
+    for h in (g, split):
+        with pytest.raises(NoTouchingPointError, match="only the double chain"):
+            gbz_touching_point(h)
+    assert calls == []
 
 
 @pytest.mark.parametrize("family,hops,delta", [
