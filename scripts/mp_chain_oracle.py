@@ -25,7 +25,8 @@ and 180 s for a 100-site one (2-vCPU VM).
 A CHAIN is ``i4,i3``, a point of the fig3d grid (t1 = 1, t2 = 2, (t3, t4)
 on the R-point linspace over [0.2, 6], R = 24 by default, 25 cells), or
 ``PRESET:N_CELLS``, the hoppings of a CLI preset on a chain of N_CELLS
-cells (``fig4e:40``).  The default chains are (8, 14), an A point the
+cells (``fig4e:40``); below 4 cells, too short to fit a GBZ, the phase
+label reads ``n/a``.  The default chains are (8, 14), an A point the
 half-size solve resolves alone; (3, 9), an A point whose edge pair near
 E = 0 the inverse half-size solve resolves; and (14, 18), a C point (real
 spectrum).
@@ -128,7 +129,7 @@ def solved_path(model) -> tuple[np.ndarray, str]:
     return w, names[tuple(sizes)]
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dps", type=int, default=60, help="mpmath digits (default 60)")
     parser.add_argument("--resolution", type=int, default=24,
@@ -136,7 +137,7 @@ def main() -> None:
     parser.add_argument("--vectors", action="store_true",
                         help="also report the |D| error of obc_decomposition")
     parser.add_argument("chains", nargs="*", default=DEFAULT_CHAINS)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     for spec in args.chains:
         name, m = chain_model(spec, args.resolution)
         H = real_space_hamiltonian(m)
@@ -152,7 +153,9 @@ def main() -> None:
         perm, err = matching(ref, w)
         edge = np.argsort(np.abs(ref))[:2]
         edge_err = np.max(np.abs(w[perm[edge]] - ref[edge]) / np.abs(ref[edge]))
-        print(f"{name}, {m.n_sites} sites: label {classify_phase(m).label.value}, "
+        # the phase label fits a GBZ to the chain, which needs 4 cells
+        label = classify_phase(m).label.value if m.n_cells >= 4 else "n/a"
+        print(f"{name}, {m.n_sites} sites: label {label}, "
               f"min|E|/max|E| = {np.abs(ref).min() / scale:.2g}, path {path}; "
               f"chain_eigenvalues {err / scale:.2g}, "
               f"ungauged complex eigvals {matching(ref, np.linalg.eigvals(H))[1] / scale:.2g} "

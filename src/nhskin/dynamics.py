@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HorizonTruncationError, ValidationError
-from .model import LatticeModel, _sublattice_a, real_space_hamiltonian
+from .model import LatticeModel, _open_chain, _sublattice_a
 
 #: amplitude magnitude beyond which evolution is truncated
 OVERFLOW_GUARD = 1e120
@@ -113,7 +113,8 @@ def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
     their moduli, which the overflow guard has already taken, and psi = back
     * phi.  The chain propagates phi = T psi / c, T = diag(1 on A, i on B),
     c the phase of its largest entry at t = 0, by the real K = -i T H T^-1
-    (H joins A only to B), in real arithmetic when phi is real."""
+    (H = ``_open_chain(model)`` joins A only to B), in real arithmetic when
+    phi is real."""
     psi0 = np.asarray(psi0, dtype=complex)
     n = model.n_sites
     if psi0.shape != (n,):
@@ -124,9 +125,9 @@ def _blocks(model: LatticeModel, psi0: np.ndarray, t: np.ndarray):
     if np.any(np.abs(np.diff(t) - dt) > 1e-9 * dt):
         raise ValidationError("t_grid must be uniformly spaced")
     B = min(1 << (max(1, _BLOCK_ENTRIES // n).bit_length() - 1), len(t))
-    H = real_space_hamiltonian(model.with_(gamma=0.0))
+    H = _open_chain(model)
     on_b = ~_sublattice_a(model)
-    G = dt * H.real * (on_b[:, None] * 1.0 - on_b[None, :])    # -H from A to B, H from B to A
+    G = dt * H * (on_b[:, None] * 1.0 - on_b[None, :])    # -H from A to B, H from B to A
     phi = np.where(on_b, 1j, 1) * psi0
     big = phi[np.argmax(np.abs(phi))]
     c = big / abs(big) if big else 1.0

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import (CrossValidationError, DegreeCollapseError,
                      NoTouchingPointError, ValidationError)
-from .model import Family, LatticeModel, _hopping_blocks, _open_chain, _sublattice_a
+from .model import Family, LatticeModel, _open_chain, _sublattice_a
 
 
 class GbzMethod(str, Enum):
@@ -438,31 +438,24 @@ def _gauge_radius(model: LatticeModel) -> float:
     return r if 0 < r < np.inf else 1.0
 
 
-def _gauged_blocks(model: LatticeModel):
-    """r of :func:`_gauge_radius` and the blocks (H0, r Hp, Hm / r) of S^-1 H S."""
-    r, (h0, hp, hm) = _gauge_radius(model), _hopping_blocks(model)
-    return r, (h0, r * hp, hm / r)
-
-
 def chain_eigenvalues(model: LatticeModel) -> np.ndarray:
     """Eigenvalues of the model's open chain without its uniform damping.
 
     The chain is solved as S^-1 H S, S = diag(r^x) with the gauge radius r
     of :func:`_gauge_radius` (Hatano & Nelson, PRL 77, 570 (1996); Yao &
     Wang, PRL 121, 086803 (2018)): the same eigenvalues, far less
-    non-normal.  It is assembled from the blocks (H0, r Hp, Hm / r), so no
-    power of r is formed, and solved in real arithmetic.  Every chain
-    couples sublattice A only to B, so E = +-sqrt(lambda) over the
-    eigenvalues lambda of C D on half the sites, C and D its A-B and B-A
-    blocks.  The k eigenvalues lambda below sqrt(eps) max|lambda| (edge
-    modes near E = 0) keep less than half their digits there; they are
-    taken instead as 1 / mu over the k largest |mu| of the eigenvalues
-    mu of D^-1 C^-1, formed by two solves, never by inverting C D.  The
-    full gauged chain is solved where the sublattices differ in size (an
-    odd Hatano-Nelson chain), or where C or D is singular (an NH-SSH chain
-    with a one-way bond, |delta| = t1)."""
-    _, blocks = _gauged_blocks(model)
-    H = _open_chain(*blocks, model.n_cells)
+    non-normal.  It is ``_open_chain(model, r)``, assembled from the blocks
+    (H0, r Hp, Hm / r), and solved in real arithmetic.  Every chain couples
+    sublattice A only to B, so E = +-sqrt(lambda) over the eigenvalues
+    lambda of C D on half the sites, C and D its A-B and B-A blocks.  The
+    k eigenvalues lambda below sqrt(eps) max|lambda| (edge modes near
+    E = 0) keep less than half their digits there; they are taken instead
+    as 1 / mu over the k largest |mu| of the eigenvalues mu of D^-1 C^-1,
+    formed by two solves, never by inverting C D.  The full gauged chain is
+    solved where the sublattices differ in size (an odd Hatano-Nelson
+    chain), or where C or D is singular (an NH-SSH chain with a one-way
+    bond, |delta| = t1)."""
+    H = _open_chain(model, _gauge_radius(model))
     a = _sublattice_a(model)
     if 2 * np.count_nonzero(a) == len(a):
         C, D = H[np.ix_(a, ~a)], H[np.ix_(~a, a)]

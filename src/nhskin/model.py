@@ -6,8 +6,9 @@ inter-chain hoppings t3, t4 are directed, which is the only source of
 non-Hermiticity.  Two reference models, a single-band nonreciprocal chain
 (Hatano-Nelson) and a two-band nonreciprocal SSH chain, share the same
 parameter container.  Every family is a banded block-Toeplitz chain, defined
-once by its real blocks (H0, Hp, Hm) in ``_hopping_blocks``; the cell, Bloch
-and open-chain Hamiltonians are all built from those blocks.
+once by its real blocks (H0, Hp, Hm) in ``_hopping_blocks``; the cell and
+Bloch Hamiltonians and ``_open_chain``, the one open-chain assembler, are all
+built from those blocks.
 """
 
 from __future__ import annotations
@@ -162,24 +163,24 @@ def non_bloch_hamiltonians(model: LatticeModel, betas) -> np.ndarray:
     return h0 + hp * b + hm / b
 
 
-def _open_chain(h0: np.ndarray, hp: np.ndarray, hm: np.ndarray, n_cells: int) -> np.ndarray:
-    """Dense open chain of ``n_cells`` cells in the blocks' common dtype:
-    ``h0`` on the diagonal cells, ``hp`` above and ``hm`` below."""
-    s = len(h0)
-    x = np.arange(n_cells)
-    H = np.zeros((n_cells, s, n_cells, s), dtype=np.result_type(h0, hp, hm))
+def _open_chain(model: LatticeModel, r: float = 1.0) -> np.ndarray:
+    """The undamped open chain S^-1 H S, S = diag(r^x), in float64: H0 on
+    the diagonal cells, r Hp above and Hm / r below (no power of r)."""
+    h0, hp, hm = _hopping_blocks(model)
+    n, s = model.n_cells, len(h0)
+    x = np.arange(n)
+    H = np.zeros((n, s, n, s))
     H[x, :, x, :] = h0
-    H[x[:-1], :, x[1:], :] = hp
-    H[x[1:], :, x[:-1], :] = hm
-    return H.reshape(n_cells * s, n_cells * s)
+    H[x[:-1], :, x[1:], :] = r * hp
+    H[x[1:], :, x[:-1], :] = hm / r
+    return H.reshape(n * s, n * s)
 
 
 def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
     """Full dense Hamiltonian of the open chain of ``n_cells`` cells:
     H0 - i*gamma on the diagonal cells, Hp above and Hm below.  omega0 is
     excluded (it only rotates the global phase)."""
-    h0, hp, hm = _hopping_blocks(model)
-    return _open_chain(h0 - 1j * model.gamma * np.eye(len(h0)), hp, hm, model.n_cells)
+    return _open_chain(model) - 1j * model.gamma * np.eye(model.n_sites)
 
 
 _SWAPS = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gbz import _cell_energy_sets, _gauged_blocks
+from .gbz import _cell_energy_sets, _gauge_radius
 from .model import LatticeModel, _open_chain
 
 #: eigenvector-matrix condition number above which a spectrum is flagged
@@ -78,16 +78,17 @@ def eig_biorthogonal(H: np.ndarray) -> Spectrum:
 
 def obc_spectrum(model: LatticeModel) -> Spectrum:
     """Eigensystem of the open chain, from the undamped gauged chain S^-1 H S,
-    S = diag(r^x), of ``gbz.chain_eigenvalues`` in real arithmetic: right
-    vectors S v scaled to unit norm, left vectors S^-1 u times those norms,
-    eigenvalues shifted by -i*gamma.  ``condition_number`` is the gauged
-    basis'.  Raises :class:`NumericalError` if r^x leaves the float range."""
-    r, blocks = _gauged_blocks(model)
+    S = diag(r^x), of ``gbz.chain_eigenvalues`` (``_open_chain(model, r)``)
+    in real arithmetic: right vectors S v scaled to unit norm, left vectors
+    S^-1 u times those norms, eigenvalues shifted by -i*gamma.
+    ``condition_number`` is the gauged basis'.  Raises
+    :class:`NumericalError` if r^x leaves the float range."""
+    r = _gauge_radius(model)
     x = np.arange(model.n_cells) * np.log(r)     # log r^x, cell by cell
     if np.ptp(x) > -np.log(np.finfo(float).tiny):
         raise NumericalError(f"gauge r^x, r = {r:.3g}, leaves the float range on {len(x)} cells")
     s = np.repeat(np.exp(x - x.max()), model.sites_per_cell)[:, None]
-    g = eig_biorthogonal(_open_chain(*blocks, model.n_cells))
+    g = eig_biorthogonal(_open_chain(model, r))
     n = np.linalg.norm(s * g.right_vectors, axis=0)
     return replace(g, eigenvalues=g.eigenvalues - 1j * model.gamma,
                    right_vectors=s * g.right_vectors / n, left_vectors=g.left_vectors / s * n)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,22 @@ from nhskin.dynamics import _expm
 
 hopping = st.floats(min_value=0.2, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
+
+
+def test_propagation_does_not_build_the_damped_chain(monkeypatch, model_a):
+    # evolve and transition_sweep propagate the undamped real chain of
+    # _open_chain; nothing in the package calls real_space_hamiltonian
+    def refuse(model):
+        raise AssertionError("real_space_hamiltonian called")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "nhskin"]:
+        if hasattr(module, "real_space_hamiltonian"):
+            monkeypatch.setattr(module, "real_space_hamiltonian", refuse)
+    t = default_time_grid(2.0, fs=50.0)
+    field = evolve(model_a.with_(gamma=0.2), poke_state(model_a, 20), t)
+    assert np.all(np.isfinite(field.amplitudes))
+    sweep = transition_sweep(PATH1, np.array([0.0, 0.5]), t_grid=t)
+    assert np.all(np.isfinite(sweep.growth_rates))
 
 
 def test_poke_state_basics(model_a):

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from nhskin import (CrossValidationError, DegreeCollapseError, Direction,
 from nhskin import gbz as gbz_mod
 from nhskin.gbz import (_agbz_points, _agbz_table, _balance, _beta_t, _branch_energies,
                         _cell_energy_sets, _charpoly_gbz, _charpoly_table, _degree_collapsed,
-                        _gauge_radius, _gauged_blocks, _horner,
+                        _gauge_radius, _horner,
                         _middle_roots, _radial_refine_many, _roots_many,
                         _touching_point_in_regime, charpoly_coefficients)
 from nhskin.model import _open_chain, non_bloch_hamiltonians
@@ -616,7 +619,7 @@ def test_half_size_solve_matches_the_gauged_chain_at_obc_fit_length(monkeypatch)
 
 def _gauged_full_chain(m):
     """The full-size gauged chain S^-1 H S that chain_eigenvalues falls back to."""
-    return _open_chain(*_gauged_blocks(m)[1], m.n_cells)
+    return _open_chain(m, _gauge_radius(m))
 
 
 FIG3D_16 = np.linspace(0.2, 6.0, 16)
@@ -658,6 +661,25 @@ def test_edge_pair_matches_extended_precision(m, edge):
     w = chain_eigenvalues(m)
     for e in (edge, -edge):
         assert np.min(np.abs(w - e)) <= 1e-12 * abs(e)
+
+
+def test_mp_chain_oracle_script_runs_on_short_chains(capsys):
+    """``scripts/mp_chain_oracle.py`` at 30 digits: the 4-cell fig4a chain
+    takes the half-size path and matches the oracle to 1e-12 of max|E|;
+    the 3-cell chain, too short to fit a GBZ, prints no phase label."""
+    path = Path(__file__).parents[1] / "scripts" / "mp_chain_oracle.py"
+    spec = importlib.util.spec_from_file_location("mp_chain_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    oracle.main(["--dps", "30", "fig4a:4", "fig4a:3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    four, three = lines[0], lines[2]
+    assert four.startswith("fig4a:4, 16 sites: label A,")
+    assert three.startswith("fig4a:3, 12 sites: label n/a,")
+    for line in (four, three):
+        found = re.search(r"path ([^;]+); chain_eigenvalues ([^,]+),", line)
+        assert found.group(1) == "half-size" and float(found.group(2)) < 1e-12, line
 
 
 @pytest.mark.parametrize("delta", [1.0, -1.0])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nhskin import (Family, SymmetryOp, ValidationError, apply_symmetry,
                     bloch_hamiltonian, make_model, non_bloch_hamiltonian,
                     real_space_hamiltonian)
-from nhskin.model import _hopping_blocks, _sublattice_a, non_bloch_hamiltonians
+from nhskin.model import _hopping_blocks, _open_chain, _sublattice_a, non_bloch_hamiltonians
 
 hopping = st.floats(min_value=0.05, max_value=30.0,
                     allow_nan=False, allow_infinity=False)
@@ -172,6 +172,24 @@ def test_real_space_hamiltonian_is_the_kronecker_build_of_the_blocks(family, n):
     m = make_model(family, T1, T2, T3, T4, gamma=g, n_cells=n, nhssh_delta=DELTA)
     H = real_space_hamiltonian(m)
     assert np.array_equal(H, expected)
+
+
+@pytest.mark.parametrize("r", [0.45, 1.0, 2.2])
+@pytest.mark.parametrize("family, n_cells", [
+    (Family.GT, 5), (Family.NH_SSH, 5), (Family.HATANO_NELSON, 6), (Family.HATANO_NELSON, 7),
+], ids=["GT", "NHSSH", "HatanoNelson", "HatanoNelson-odd"])
+def test_open_chain_is_the_gauged_block_build(family, n_cells, r):
+    # S^-1 H S, S = diag(r^x), laid out from (H0, r Hp, Hm / r) in float64;
+    # the damping is left to real_space_hamiltonian
+    h0, hp, hm = BLOCKS[family]
+    expected = (np.kron(np.eye(n_cells), h0) + np.kron(np.eye(n_cells, k=1), r * hp)
+                + np.kron(np.eye(n_cells, k=-1), hm / r))
+    m = make_model(family, T1, T2, T3, T4, gamma=0.3, n_cells=n_cells, nhssh_delta=DELTA)
+    H = _open_chain(m, r)
+    assert H.dtype == np.float64
+    assert np.array_equal(H, expected)
+    if r == 1.0:
+        assert np.array_equal(_open_chain(m), H)
 
 
 def _cell_by_entries(model, b):
